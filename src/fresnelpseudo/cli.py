@@ -5,8 +5,9 @@ Exit codes are a stable contract:
 
 * 0  success
 * 1  a validation suite reported at least one failing check
-* 2  argument or configuration error
-* 3  numerical failure raised by the library
+* 2  argument or configuration error, including non-finite numbers
+* 3  numerical failure raised by the library, or any other unexpected
+     error (reported on one line)
 
 CSV output carries a ``#``-prefixed metadata header (tool version,
 command, and the full resolved flag set including the seed) so a result
@@ -17,6 +18,7 @@ supply defaults for any flag; explicit command-line flags win.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from importlib.metadata import PackageNotFoundError, version as _pkg_version
@@ -74,6 +76,8 @@ def parse_grid(text):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise CliError(f"grid must be min:max:points, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError(f"grid bounds must be finite, got {text!r}")
     if not (lo < hi):
         raise CliError(f"grid min must be below max, got {text!r}")
     if n < 2:
@@ -137,17 +141,23 @@ def _coerce(key, raw, kind):
 
 
 def _resolve(args, config, key, kind, default=None, required=False):
-    """Merge precedence: command line > config file > default."""
+    """Merge precedence: command line > config file > default.
+
+    Float values must be finite (nan and inf parse as floats)."""
     got = getattr(args, key.replace("-", "_"), None)
     if got is not None and got is not False:
-        return got
-    if key in config:
-        return _coerce(key, config[key], kind)
-    if got is False:
+        value = got
+    elif key in config:
+        value = _coerce(key, config[key], kind)
+    elif got is False:
         return False
-    if required and default is None:
+    elif required and default is None:
         raise CliError(f"--{key} is required")
-    return default
+    else:
+        return default
+    if kind is float and not math.isfinite(value):
+        raise CliError(f"--{key} must be finite, got {value}")
+    return value
 
 
 def _open_out(out):
@@ -367,6 +377,9 @@ def main(argv=None):
         return 2
     except FresnelPseudoError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other failure still maps onto the contract
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -19,6 +19,23 @@ Numerical notes
   float64 cannot deliver the requested tolerance.  Past ~200 digits the
   evaluation refuses (NonConvergent) instead of silently degrading;
   callers fall back to airy_quadrature, which has no such range limit.
+* Every series here (Airy, Wright, and the subordinated density) is
+  truncated by one log-magnitude scan, _scan_terms.  It evaluates
+  log|term_k| on a prefix k < n, n = 64, 512, 4096, then the cap of
+  10001 indices, and stops at the first prefix that holds an index past
+  its peak whose value is below the cutoff.  The result is exact, not
+  a heuristic: each log-magnitude is linear in k plus
+  gammaln(c (k+1)) - gammaln(k+1) (or the 2k+1 analogue) with c < 1,
+  which is strictly concave because c**2 psi'(c w) =
+  sum_n 1/(w + n/c)**2 < psi'(w).  Past the peak the sequence keeps
+  falling, so the prefix's peak and first-below index are those of a
+  scan out to the cap, and the elementwise ufuncs give the same bits on
+  a prefix.  The series need 30-300 terms, so the scan usually stops at
+  the 64- or 512-index prefix.
+* Near order 1 (and Wright index near 1) the float64 pass meets
+  Gamma(k/alpha) overflowing while x**k/k! underflows; a pass with such
+  a term rebuilds it, and the terms whose x**k/k! went subnormal, from
+  their log-magnitudes instead of returning NaN.
 * For x >= 0 the defining integral is evaluated on a rotated ray where
   it decays like exp(-u**a/a - x*u*sin(pi/2a)) (absolutely convergent);
   for x < 0 the oscillatory phase-panel scheme in _quad is used.
@@ -31,6 +48,7 @@ Numerical notes
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -94,7 +112,68 @@ class WrightArgs:
 
 
 def _airy_prefactor(alpha):
-    return 1.0 / (math.pi * alpha ** ((alpha - 1.0) / alpha))
+    pref = 1.0 / (math.pi * alpha ** ((alpha - 1.0) / alpha))
+    if pref < sys.float_info.min:
+        # alpha beyond ~1.4e307: the series cannot be scaled in float64
+        raise DomainError(f"Airy order alpha={alpha} is too large for the series prefactor")
+    return pref
+
+
+def _term_prefixes(logmag):
+    """logmag(k) on k = 0..n-1 for n = 64, 512, 4096, then the cap."""
+    n = 64
+    while n < _SERIES_CAP + 1:
+        yield logmag(np.arange(n, dtype=float))
+        n *= 8
+    yield logmag(np.arange(_SERIES_CAP + 1, dtype=float))
+
+
+def _scan_terms(logmag, cutoff_log):
+    """Truncation scan of a series from its term log-magnitudes.
+
+    logmag maps an index array k to log|term_k| elementwise.  Returns
+    (K, peak_log): K is the first index past the peak where
+    log|term| < cutoff_log, peak_log the peak log magnitude; None when
+    no such index lies within _SERIES_CAP (the caller raises
+    NonConvergent).  The scan grows its prefix lazily; every logmag of
+    this module is strictly concave in k, so once a value past the
+    prefix's peak is below the cutoff the sequence keeps falling and
+    the answer is the one a scan out to the cap would give.
+    """
+    for vals in _term_prefixes(logmag):
+        peak = int(np.argmax(vals))
+        below = np.flatnonzero(vals[peak + 1 :] < cutoff_log)
+        if below.size:
+            return peak + 1 + int(below[0]), float(vals[peak])
+    return None
+
+
+def _rebuild_overflowed(terms, small, logmag, signed_unit):
+    """Float64 terms of a series, with any overflow rebuilt in log space.
+
+    terms is the product of Gamma factors with the power-over-factorial
+    factor small; past ~171 Gamma overflows while small underflows, so
+    a term comes out NaN or infinite.  When that happens, every term
+    that is not finite or whose small factor left the normal float64
+    range (and with it its digits) is rebuilt as
+    exp(logmag(k)) * signed_unit[k].  A pass with no overflowed term is
+    returned as it is: its subnormal factors meet Gamma values far from
+    overflow, and there the float64 product is the more accurate one.
+    """
+    bad = ~np.isfinite(terms)
+    if bad.any():
+        idx = np.flatnonzero(bad | (np.abs(small) < np.finfo(float).tiny))
+        terms[idx] = np.exp(logmag(idx.astype(float))) * signed_unit[idx]
+    return terms
+
+
+def _airy_term_logs(k, x, alpha):
+    return (
+        k * math.log(abs(x))
+        + k * (math.log(alpha) / alpha)
+        + sp.gammaln((k + 1.0) / alpha)
+        - sp.gammaln(k + 1.0)
+    )
 
 
 def _airy_series_scan(x, alpha, cutoff_log):
@@ -104,21 +183,13 @@ def _airy_series_scan(x, alpha, cutoff_log):
     where log|term| < cutoff_log) and the peak log magnitude.  The sine
     factor is bounded by 1, so both are conservative.
     """
-    k = np.arange(_SERIES_CAP + 1, dtype=float)
-    logmag = (
-        k * math.log(abs(x))
-        + k * (math.log(alpha) / alpha)
-        + sp.gammaln((k + 1.0) / alpha)
-        - sp.gammaln(k + 1.0)
-    )
-    peak = int(np.argmax(logmag))
-    below = np.nonzero((np.arange(logmag.size) > peak) & (logmag < cutoff_log))[0]
-    if below.size == 0:
+    found = _scan_terms(lambda k: _airy_term_logs(k, x, alpha), cutoff_log)
+    if found is None:
         raise NonConvergent(
             f"airy series terms fail to decay within {_SERIES_CAP} terms "
             f"(x={x}, alpha={alpha})"
         )
-    return int(below[0]), float(logmag[peak])
+    return found
 
 
 def _airy_series_f64(x, alpha, K):
@@ -134,7 +205,11 @@ def _airy_series_f64(x, alpha, K):
     xk_over_fact = np.cumprod(np.concatenate(([1.0], x / np.arange(1.0, K + 1.0))))
     apow = np.exp(k * (math.log(alpha) / alpha))
     sines = np.sin(np.pi * (k + 1.0) * (alpha + 1.0) / (2.0 * alpha))
-    terms = gam * xk_over_fact * apow * sines
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = gam * xk_over_fact * apow * sines
+    terms = _rebuild_overflowed(
+        terms, xk_over_fact, lambda kk: _airy_term_logs(kk, x, alpha), sines * np.sign(x) ** k
+    )
     return math.fsum(terms.tolist()), float(np.max(np.abs(terms)))
 
 
@@ -207,14 +282,11 @@ def series_float64_range(alpha, tol=1e-10):
     gate = math.log((tol / 2.0) / (_F64_TERM_RELERR * pref))
 
     def peak_log(x):
-        k = np.arange(_SERIES_CAP + 1, dtype=float)
-        logmag = (
-            k * math.log(x)
-            + k * (math.log(alpha) / alpha)
-            + sp.gammaln((k + 1.0) / alpha)
-            - sp.gammaln(k + 1.0)
-        )
-        return float(np.max(logmag))
+        # the largest log-magnitude is final once the prefix falls at its end
+        for vals in _term_prefixes(lambda k: _airy_term_logs(k, x, alpha)):
+            if vals[-1] < np.max(vals):
+                break
+        return float(np.max(vals))
 
     lo, hi = 0.5, 1.0
     while peak_log(hi) < gate and hi < 1e3:
@@ -378,11 +450,10 @@ def weibull_pdf(y, params):
 # ---------------------------------------------------------------------------
 
 
-def _wright_term_logs(absz, theta, n):
-    k = np.arange(n + 1, dtype=float)
-    with np.errstate(divide="ignore"):
+def _wright_term_logs(k, absz, theta):
+    with np.errstate(divide="ignore", invalid="ignore"):
         logz = k * (math.log(absz) if absz > 0 else -math.inf)
-        logz[0] = 0.0
+        logz[k == 0] = 0.0
     return logz + sp.gammaln(theta * (k + 1.0)) - sp.gammaln(k + 1.0) - math.log(math.pi)
 
 
@@ -401,17 +472,13 @@ def wright_series(args, tol=1e-12):
     theta, z = args.theta, args.z
     if z == 0.0:
         return math.sin(math.pi * theta) * math.gamma(theta) / math.pi
-    logs = _wright_term_logs(abs(z), theta, _SERIES_CAP)
-    peak = int(np.argmax(logs))
-    below = np.nonzero(
-        (np.arange(logs.size) > peak) & (logs < math.log(tol) - 3.0 * math.log(10.0))
-    )[0]
-    if below.size == 0:
+    logmag = lambda k: _wright_term_logs(k, abs(z), theta)
+    found = _scan_terms(logmag, math.log(tol) - 3.0 * math.log(10.0))
+    if found is None:
         raise NonConvergent(
             f"wright series fails to decay within {_SERIES_CAP} terms (z={z})"
         )
-    K = int(below[0])
-    peak_log = float(logs[peak])
+    K, peak_log = found
     if peak_log + math.log(_F64_TERM_RELERR) <= math.log(tol / 2.0):
         k = np.arange(K + 1, dtype=float)
         gam = sp.gamma(theta * (k + 1.0))
@@ -419,7 +486,10 @@ def wright_series(args, tol=1e-12):
         zk_over_fact = np.cumprod(
             np.concatenate(([1.0], z / np.arange(1.0, K + 1.0)))
         )
-        return math.fsum((gam * sines * zk_over_fact / math.pi).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = gam * sines * zk_over_fact / math.pi
+        terms = _rebuild_overflowed(terms, zk_over_fact, logmag, sines * (-1.0) ** k)
+        return math.fsum(terms.tolist())
     dps = 15 + max(0, int(math.ceil((peak_log - math.log(tol)) / math.log(10.0))))
     if dps > _MP_DPS_CAP:
         raise NonConvergent(

@@ -35,11 +35,15 @@ from scipy import integrate, special as sp
 
 from .density import OscillationConstants, PseudoParams, density
 from .errors import DomainError, InvalidRegime, NonConvergent, QuadratureFailure
-from .special import stable_subordinator_pdf
+from .special import (
+    _F64_TERM_RELERR,
+    _MP_DPS_CAP,
+    _SERIES_CAP,
+    _rebuild_overflowed,
+    _scan_terms,
+    stable_subordinator_pdf,
+)
 
-_SERIES_CAP = 10000
-_MP_DPS_CAP = 200
-_F64_TERM_RELERR = 5e-14
 # skip the subordinator's essentially-zero left tail: below the s where
 # its saddle exponent reaches this, h < e^-40 * polynomial
 _TAIL_B = 40.0
@@ -141,20 +145,12 @@ def subordinated_char_fn(gamma, spec, t):
     return complex(out[0]) if scalar else out
 
 
-def _sub_series_scan(z2, nu, cutoff_log):
-    """Log-magnitude scan of the even-power series terms."""
-    k = np.arange(_SERIES_CAP + 1, dtype=float)
-    with np.errstate(divide="ignore"):
+def _sub_term_logs(k, z2, nu):
+    """Log-magnitudes of the even-power series terms."""
+    with np.errstate(divide="ignore", invalid="ignore"):
         logz = k * (math.log(z2) if z2 > 0.0 else -math.inf)
-        logz[0] = 0.0
-    logmag = logz + sp.gammaln((2.0 * k + 1.0) / nu) - sp.gammaln(2.0 * k + 1.0)
-    peak = int(np.argmax(logmag))
-    below = np.nonzero((np.arange(logmag.size) > peak) & (logmag < cutoff_log))[0]
-    if below.size == 0:
-        raise NonConvergent(
-            f"subordinated series fails to decay within {_SERIES_CAP} terms"
-        )
-    return int(below[0]), float(logmag[peak])
+        logz[k == 0] = 0.0
+    return logz + sp.gammaln((2.0 * k + 1.0) / nu) - sp.gammaln(2.0 * k + 1.0)
 
 
 def subordinated_density_series(x, spec, t, tol=1e-10):
@@ -175,7 +171,13 @@ def subordinated_density_series(x, spec, t, tol=1e-10):
     sine_arg = math.pi * (spec.alpha + 1.0) / (2.0 * spec.alpha)
     if z == 0.0:
         return pref * math.gamma(1.0 / nu) * math.sin(sine_arg)
-    K, max_log = _sub_series_scan(z * z, nu, math.log(tol / pref) + math.log(1e-3))
+    logmag = lambda k: _sub_term_logs(k, z * z, nu)
+    found = _scan_terms(logmag, math.log(tol / pref) + math.log(1e-3))
+    if found is None:
+        raise NonConvergent(
+            f"subordinated series fails to decay within {_SERIES_CAP} terms"
+        )
+    K, max_log = found
     if math.log(pref) + max_log + math.log(_F64_TERM_RELERR) <= math.log(tol / 2.0):
         k = np.arange(K + 1, dtype=float)
         gam = sp.gamma((2.0 * k + 1.0) / nu)
@@ -184,7 +186,10 @@ def subordinated_density_series(x, spec, t, tol=1e-10):
         )
         z2k_fact = np.cumprod(ratios)
         sines = np.sin(math.pi * (2.0 * k + 1.0) * (spec.alpha + 1.0) / (2.0 * spec.alpha))
-        return pref * math.fsum((gam * z2k_fact * sines).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = gam * z2k_fact * sines
+        terms = _rebuild_overflowed(terms, z2k_fact, logmag, sines)
+        return pref * math.fsum(terms.tolist())
     dps = 15 + max(0, int(math.ceil((max_log - math.log(tol)) / math.log(10.0))))
     if dps > _MP_DPS_CAP:
         raise NonConvergent(

@@ -106,10 +106,23 @@ class TestEval:
             ("eval", "--grid", "-1:1:5"),
             ("eval", "--fn", "density"),
             ("eval", "--fn", "density", "--alpha", "0.5", "--grid", "-1:1:5"),
+            ("eval", "--fn", "density", "--grid=-inf:1:3"),
+            ("eval", "--fn", "density", "--alpha", "2.5", "--tol", "nan", "--grid", "-1:1:3"),
+            ("eval", "--fn", "density", "--alpha", "1e308", "--grid", "-1:1:3"),
         ],
     )
     def test_argument_errors_exit_2(self, argv):
         assert run_cli(*argv).returncode == 2
+
+    def test_subordinated_series_near_unit_index(self, capsys):
+        # the float64 series pass used to raise ValueError (inf - inf)
+        # out of math.fsum here, a traceback and exit 1
+        argv = ["eval", "--fn", "subordinated", "--alpha", "3.0933989675739655",
+                "--theta", "0.35438126456675634", "--t", "1.6488682713909983",
+                "--grid=2.2551783164115364:3:2"]
+        assert cli.main(argv) == 0
+        rows = parse_rows(capsys.readouterr().out)
+        assert len(rows) == 2 and all(np.isfinite(v) for _, v in rows)
 
 
 class TestValidate:
@@ -145,6 +158,15 @@ class TestValidate:
 
         monkeypatch.setattr(cli, "airy_grid", boom)
         assert cli.main(["eval", "--fn", "airy", "--grid", "-1:1:3"]) == 3
+
+    def test_unexpected_error_exits_3_on_one_line(self, monkeypatch, capsys):
+        def boom(*a, **k):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "airy_grid", boom)
+        assert cli.main(["eval", "--fn", "airy", "--grid", "-1:1:3"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ZeroDivisionError" in err
 
 
 class TestSample:
@@ -228,6 +250,12 @@ class TestConfigAndEnv:
         assert res.returncode == 0
         meta = parse_metadata(res.stdout.splitlines())
         assert int(meta["seed"]) == 77
+
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("fn=density\ngrid=-1:1:3\nt=inf\n")
+        assert cli.main(["eval", "--config", str(conf)]) == 2
+        assert "--t must be finite" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self):
         res = run_cli("eval", "--config", "/nonexistent.conf", "--grid", "-1:1:3")

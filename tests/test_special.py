@@ -1,12 +1,19 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special as sp
 
+from fresnelpseudo import special
 from fresnelpseudo.errors import DomainError, NonConvergent
 from fresnelpseudo.special import (
+    _SERIES_CAP,
+    _airy_term_logs,
+    _scan_terms,
+    _wright_term_logs,
     AiryOrder,
     WeibullParams,
     WrightArgs,
@@ -81,6 +88,24 @@ class TestAirySeries:
     def test_refuses_past_precision_cap(self):
         with pytest.raises(NonConvergent):
             airy_series(80.0, AiryOrder(1.5), 1e-10)
+
+    @pytest.mark.parametrize("x", [1.732185378102459, -1.7321])
+    def test_order_near_one_past_gamma_overflow(self, x):
+        """Gamma((k+1)/alpha) overflows while x**k/k! underflows at these
+        points; the float64 pass must not turn inf * 0 into NaN."""
+        alpha = 1.1725175860865968
+        s = airy_series(x, AiryOrder(alpha))
+        q = airy_quadrature(x, AiryOrder(alpha))
+        assert abs(s - q) < 1e-9
+
+    def test_no_nan_across_float64_range_near_order_one(self):
+        xs = np.linspace(-1.8, 1.8, 361)
+        vals = [airy_point(float(x), 1.1725175860865968) for x in xs]
+        assert np.all(np.isfinite(vals))
+
+    def test_huge_order_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            airy_series(1.0, AiryOrder(1e308))
 
 
 class TestAiryQuadrature:
@@ -211,6 +236,19 @@ class TestWright:
         with pytest.raises(NonConvergent):
             wright_series(WrightArgs(0.5, -1e6))
 
+    def test_theta_near_one_past_gamma_overflow(self):
+        """Gamma(theta (k+1)) overflows before 1/k! is negligible here."""
+        theta, z = 0.99, -1.0
+        with mp.workdps(40):
+            want = mp.fsum(
+                mp.mpf(z) ** k
+                * mp.sin(mp.pi * mp.mpf(theta) * (k + 1))
+                * mp.gamma(mp.mpf(theta) * (k + 1))
+                / (mp.pi * mp.factorial(k))
+                for k in range(700)
+            )
+        assert_allclose(wright_series(WrightArgs(theta, z)), float(want), rtol=0, atol=1e-11)
+
 
 class TestStableSubordinator:
     def test_validation(self):
@@ -262,3 +300,65 @@ class TestStableSubordinator:
                 x * t ** (-1.0 / theta), 1.0, theta
             )
             assert_allclose(lhs, rhs, rtol=1e-10)
+
+
+def _full_cap_scan(logmag, cutoff_log):
+    """Reference truncation scan over every index up to the cap, which
+    the lazily grown _scan_terms must reproduce exactly."""
+    vals = logmag(np.arange(_SERIES_CAP + 1, dtype=float))
+    peak = int(np.argmax(vals))
+    below = np.nonzero((np.arange(vals.size) > peak) & (vals < cutoff_log))[0]
+    if below.size == 0:
+        return None
+    return int(below[0]), float(vals[peak])
+
+
+SCAN_SETTINGS = settings(derandomize=True, max_examples=120, deadline=None)
+CUTOFFS = st.one_of(st.floats(-800.0, 60.0), st.just(math.nan))
+
+
+class TestTermScan:
+    @SCAN_SETTINGS
+    @given(
+        alpha=st.floats(1.01, 6.0),
+        x=st.floats(-2e3, 2e3).filter(lambda v: v != 0.0),
+        cutoff=CUTOFFS,
+    )
+    @example(alpha=1.05, x=60.0, cutoff=-30.0)  # peak beyond the cap
+    @example(alpha=2.5, x=-4.0, cutoff=math.log(1e-16))
+    def test_airy_matches_full_scan(self, alpha, x, cutoff):
+        logmag = lambda k: _airy_term_logs(k, x, alpha)
+        assert _scan_terms(logmag, cutoff) == _full_cap_scan(logmag, cutoff)
+
+    @SCAN_SETTINGS
+    @given(theta=st.floats(0.01, 0.999), absz=st.floats(1e-8, 1e4), cutoff=CUTOFFS)
+    @example(theta=0.5, absz=1e6, cutoff=-34.5)  # never decays within the cap
+    def test_wright_matches_full_scan(self, theta, absz, cutoff):
+        logmag = lambda k: _wright_term_logs(k, absz, theta)
+        assert _scan_terms(logmag, cutoff) == _full_cap_scan(logmag, cutoff)
+
+    @SCAN_SETTINGS
+    @given(nu=st.floats(1.01, 2.0), z2=st.floats(0.0, 1e5), cutoff=CUTOFFS)
+    @example(nu=1.01, z2=1e5, cutoff=-30.0)
+    def test_subordinated_matches_full_scan(self, nu, z2, cutoff):
+        from fresnelpseudo.subordination import _sub_term_logs
+
+        logmag = lambda k: _sub_term_logs(k, z2, nu)
+        assert _scan_terms(logmag, cutoff) == _full_cap_scan(logmag, cutoff)
+
+    def test_cap_reached_returns_none(self):
+        assert _scan_terms(lambda k: _airy_term_logs(k, 60.0, 1.05), -30.0) is None
+        with pytest.raises(NonConvergent):
+            airy_series(60.0, AiryOrder(1.05))
+
+    @pytest.mark.parametrize(
+        "alpha", [1.05, 1.25, 1.35, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0, 3.25, 3.5, 4.0]
+    )
+    def test_float64_range_matches_full_scan_bisection(self, alpha, monkeypatch):
+        lazy = series_float64_range(alpha)
+        monkeypatch.setattr(
+            special,
+            "_term_prefixes",
+            lambda logmag: iter([logmag(np.arange(_SERIES_CAP + 1, dtype=float))]),
+        )
+        assert series_float64_range(alpha) == lazy

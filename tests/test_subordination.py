@@ -199,6 +199,14 @@ class TestSeries:
         want = cf_inversion_half(12.0, 2.0, 0.75, 1.0)
         assert subordinated_density_series(12.0, spec, 1.0) == pytest.approx(want, abs=1e-12)
 
+    def test_index_near_one_past_gamma_overflow(self):
+        """Gamma((2k+1)/nu) overflows while z**2k/(2k)! is still in play
+        at this point; the float64 pass used to end in inf - inf."""
+        spec = SubordinationSpec(3.0933989675739655, 0.35438126456675634, 0.5)
+        x, t = 2.2551783164115364, 1.6488682713909983
+        want = subordinated_weibull_repr(x, spec, t)
+        assert subordinated_density_series(x, spec, t) == pytest.approx(want, abs=1e-10)
+
     def test_even_in_x(self):
         spec = SubordinationSpec(2.5, 0.6, 0.5)
         for x in [0.4, 1.7, 3.3]:
