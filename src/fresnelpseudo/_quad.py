@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 from scipy import integrate
 
-from .errors import DomainError, NonConvergent
+from .errors import NonConvergent, check_params
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
@@ -126,10 +126,7 @@ def chirp_integral(alpha, c, kind="cos", tol=1e-10, max_panels=10000):
     Raises NonConvergent if the accelerated tail does not stabilize
     within `max_panels` panels or the phase budget exceeds the cap.
     """
-    if alpha <= 1.0:
-        raise DomainError(f"chirp phase needs alpha > 1, got {alpha}")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    check_params(alpha=alpha, tol=tol)
     alpha = float(alpha)
     c = float(c)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import DomainError, UnsupportedClosedForm
+from .errors import DomainError, NonConvergent, UnsupportedClosedForm, check_params
 from .special import AiryOrder, airy_grid, airy_point, airy_quadrature, airy_series
 
 _METHODS = ("auto", "series", "airy", "closed_form")
@@ -48,12 +48,7 @@ class PseudoParams:
     t: float
 
     def __post_init__(self):
-        if not (self.alpha > 1.0 and math.isfinite(self.alpha)):
-            raise DomainError(f"alpha must exceed 1, got {self.alpha}")
-        if not (0.0 <= self.p <= 1.0):
-            raise DomainError(f"p must lie in [0,1], got {self.p}")
-        if not (self.t > 0.0 and math.isfinite(self.t)):
-            raise DomainError(f"t must be positive, got {self.t}")
+        check_params(alpha=self.alpha, p=self.p, t=self.t)
 
     @property
     def lam(self):
@@ -71,8 +66,7 @@ class OscillationConstants:
 
     @classmethod
     def for_order(cls, alpha):
-        if alpha <= 1.0:
-            raise DomainError(f"alpha must exceed 1, got {alpha}")
+        check_params(alpha=alpha)
         half = math.pi / (2.0 * alpha)
         return cls(a_alpha=math.cos(half), b_alpha=math.sin(half))
 
@@ -152,48 +146,41 @@ def char_fn(gamma, params):
     return complex(out[0]) if scalar else out
 
 
-def _weibull_upper_cutoff(absx, params, b_c):
-    # smallest g with t g^a - b|x| g > ~746 (integrand underflow);
-    # a couple of fixed-point sweeps from the x = 0 value suffice
-    g = (746.0 / params.t) ** (1.0 / params.alpha)
-    for _ in range(4):
-        g = ((746.0 + b_c * absx * g) / params.t) ** (1.0 / params.alpha)
-    return g
+def _weibull_expectation(x, shape, t, p, alpha, tol):
+    """Quadrature of (1/(pi x)) E[sin(a_c x G) (p e^{b_c x G} + (1-p) e^{-b_c x G})],
+    x != 0, G Weibull with tail e^{-t g^shape} (shape > 1), a_c, b_c the
+    oscillation constants of order alpha.
 
-
-def weibull_representation(x, params, mode="quadrature", n=200_000, seed=0, tol=1e-10):
-    """Weibull-expectation value of u(x, t) for x != 0.
-
-    mode="quadrature" integrates the expectation against the Weibull
-    density; mode="monte_carlo" averages n exact inverse-transform
-    draws (seeded, reproducible).
-
-    Raises DomainError at x = 0 (the identity divides by x).
+    The integrand peaks near e^M, M = max_g (b_c |x| g - t g^shape) =
+    (1 - 1/shape) b_c |x| g* at g* = (b_c |x| / (t shape))^(1/(shape-1)),
+    for an O(1) result; raises NonConvergent when e^M * 1e-16 > tol.
     """
-    if x == 0.0:
-        raise DomainError("the expectation identity is undefined at x = 0")
-    if mode not in ("quadrature", "monte_carlo"):
-        raise ValueError(f"mode must be quadrature or monte_carlo, got {mode!r}")
-    x = float(x)
-    osc = OscillationConstants.for_order(params.alpha)
+    osc = OscillationConstants.for_order(alpha)
     a_c, b_c = osc.a_alpha, osc.b_alpha
-    p, t, alpha = params.p, params.t, params.alpha
-
-    def payoff(g):
-        return np.sin(a_c * x * g) * (
-            p * np.exp(b_c * x * g, dtype=float)
-            + (1.0 - p) * np.exp(-b_c * x * g)
+    bx = b_c * abs(x)
+    with np.errstate(over="ignore"):
+        g_star = np.float64(bx / (t * shape)) ** (1.0 / (shape - 1.0))
+    peak_log = (1.0 - 1.0 / shape) * bx * g_star
+    if not peak_log + math.log(1e-16) <= math.log(tol):
+        raise NonConvergent(
+            f"Weibull expectation at x={x} cancels: integrand peaks near "
+            f"e^{peak_log:.1f} against tol {tol}"
         )
+    # smallest g with t g^shape - b_c|x| g > ~746 (integrand underflow);
+    # a couple of fixed-point sweeps from the x = 0 value suffice
+    upper = (746.0 / t) ** (1.0 / shape)
+    for _ in range(4):
+        upper = ((746.0 + bx * upper) / t) ** (1.0 / shape)
+    mode_g = ((shape - 1.0) / (shape * t)) ** (1.0 / shape)
+    bxs = b_c * x
 
-    if mode == "monte_carlo":
-        rng = np.random.Generator(np.random.Philox(seed))
-        draws = (rng.standard_exponential(n) / t) ** (1.0 / alpha)
-        return float(np.mean(payoff(draws))) / (math.pi * x)
+    def integrand(g):
+        decay = t * g**shape
+        weights = p * math.exp(bxs * g - decay) + (1.0 - p) * math.exp(-bxs * g - decay)
+        return math.sin(a_c * x * g) * shape * t * g ** (shape - 1.0) * weights
 
-    upper = _weibull_upper_cutoff(abs(x), params, b_c)
-    mode_g = ((alpha - 1.0) / (alpha * t)) ** (1.0 / alpha) if alpha > 1.0 else 0.0
-    val, abserr = integrate.quad(
-        lambda g: payoff(g) * alpha * t * g ** (alpha - 1.0) * math.exp(-t * g**alpha),
+    val, _ = integrate.quad(
+        integrand,
         0.0,
         upper,
         epsabs=tol,
@@ -202,6 +189,33 @@ def weibull_representation(x, params, mode="quadrature", n=200_000, seed=0, tol=
         points=[mode_g] if 0.0 < mode_g < upper else None,
     )
     return val / (math.pi * x)
+
+
+def weibull_representation(x, params, mode="quadrature", n=200_000, seed=0, tol=1e-10):
+    """Weibull-expectation value of u(x, t) for x != 0.
+
+    mode="quadrature" integrates the expectation against the Weibull
+    density (see _weibull_expectation); mode="monte_carlo" averages n
+    exact inverse-transform draws (seeded, reproducible).
+
+    Raises DomainError at x = 0 (the identity divides by x), and
+    NonConvergent in quadrature mode where the integrand's growth
+    e^{b_c |x| g} outweighs the tolerance.
+    """
+    if x == 0.0:
+        raise DomainError("the expectation identity is undefined at x = 0")
+    if mode not in ("quadrature", "monte_carlo"):
+        raise ValueError(f"mode must be quadrature or monte_carlo, got {mode!r}")
+    x = float(x)
+    p, t, alpha = params.p, params.t, params.alpha
+    if mode == "quadrature":
+        return _weibull_expectation(x, alpha, t, p, alpha, tol)
+    osc = OscillationConstants.for_order(alpha)
+    a_c, b_c = osc.a_alpha, osc.b_alpha
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = (rng.standard_exponential(n) / t) ** (1.0 / alpha)
+    payoff = np.sin(a_c * x * g) * (p * np.exp(b_c * x * g) + (1.0 - p) * np.exp(-b_c * x * g))
+    return float(np.mean(payoff)) / (math.pi * x)
 
 
 def pde_fourier_residual(gamma_grid, params, h=1e-3):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DimensionCap, DomainError, QuadratureFailure
+from .errors import DimensionCap, DomainError, QuadratureFailure, check_params
 from .special import airy_cdf_tail, airy_grid
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -114,6 +114,7 @@ def _panel_nodes(a, b, alpha, lam):
 def box_kernel_integral(a, b, alpha, p, t, tol=1e-10):
     """int_a^b u(y, t) dy through the kernel tail identity; either
     endpoint may be infinite."""
+    check_params(alpha=alpha, p=p, t=t, tol=tol)
     lam = _lam(alpha, t)
 
     def tail(c):
@@ -132,6 +133,7 @@ def box_kernel_integral(a, b, alpha, p, t, tol=1e-10):
 def line_total(alpha, p, t, tol=1e-9):
     """Total mass int_R u(y, t) dy, computed (not assumed): panelized
     quadrature on the central eight scale lengths plus tail integrals."""
+    check_params(alpha=alpha, p=p, t=t, tol=tol)
     lam = _lam(alpha, t)
     cut = 8.0 * lam
     nodes, weights = _panel_nodes(-cut, cut, alpha, lam)
@@ -167,10 +169,7 @@ def cylinder_measure(event, alpha, p, tol=1e-9):
         QuadratureFailure: an unbounded box anywhere except the
             innermost level (or a box too wide to panelize).
     """
-    if alpha <= 1.0:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must lie in [0,1], got {p}")
+    check_params(alpha=alpha, p=p, tol=tol)
     if len(event.times) > 3:
         raise DimensionCap(
             f"cylinder measures support at most 3 times, got {len(event.times)}"

@@ -32,24 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RootFindingFailure
+from .errors import DomainError, RootFindingFailure, check_params
 
 _CLUSTER_REL = 1e-5  # merge numerically split multiple roots
 _CURVATURE_GATE = 1e-8  # |f''| below this (relative) falls back to sign probes
 
 
-def _check_args(alpha, p, t):
-    if not (alpha > 1.0 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must lie in [0,1], got {p}")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be positive, got {t}")
-
-
 def cauchy_mixture_pdf(x, alpha, p, t):
     """Closed-form density of the unit-index regime."""
-    _check_args(alpha, p, t)
+    check_params(alpha=alpha, p=p, t=t)
     s = math.sin(math.pi / (2.0 * alpha))
     c = math.cos(math.pi / (2.0 * alpha))
     big_c = math.cos(math.pi / alpha)
@@ -83,7 +74,7 @@ def pdf_derivative(x, alpha, p, t):
     function is the analytic reference the finite-difference checks
     compare against.
     """
-    _check_args(alpha, p, t)
+    check_params(alpha=alpha, p=p, t=t)
     c = math.cos(math.pi / (2.0 * alpha))
     big_c = math.cos(math.pi / alpha)
     coef = _quintic_coeffs(alpha, p, t)
@@ -152,8 +143,7 @@ def second_derivative_at_stationary(alpha, t):
     """
     if not (1.0 < alpha < 2.0):
         raise DomainError(f"requires 1 < alpha < 2, got {alpha}")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be positive, got {t}")
+    check_params(t=t)
     s = math.sin(math.pi / (2.0 * alpha))
     c = math.cos(math.pi / (2.0 * alpha))
     return (3.0 * c**2 - 1.0) / (2.0 * math.pi * t**3 * c * s**4)
@@ -203,7 +193,7 @@ def classify(alpha, p, t):
     maximum (order three zero, as at alpha = 3) from a stationary
     inflection (order two zero, as at the critical order).
     """
-    _check_args(alpha, p, t)
+    check_params(alpha=alpha, p=p, t=t)
     coef = _quintic_coeffs(alpha, p, t)
     dcoef = np.polyder(coef)
     raw = np.roots(coef)
@@ -274,10 +264,7 @@ def mode_analysis(alpha, t):
     The closed form is verified internally against the numeric
     classifier; disagreement raises RootFindingFailure.
     """
-    if not (alpha > 1.0 and math.isfinite(alpha)):
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be positive, got {t}")
+    check_params(alpha=alpha, t=t)
     s = math.sin(math.pi / (2.0 * alpha))
     if alpha < 3.0:
         m = t * math.sqrt(2.0 * s - 1.0)

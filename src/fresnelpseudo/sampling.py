@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedExponent
+from .errors import DomainError, UnsupportedExponent, check_params
 from .subordination import StableParams
 
 
@@ -54,10 +54,7 @@ class MixtureSpec:
     t: float
 
     def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise DomainError(f"p must lie in [0,1], got {self.p}")
-        if not (self.t > 0.0 and math.isfinite(self.t)):
-            raise DomainError(f"t must be positive, got {self.t}")
+        check_params(p=self.p, t=self.t)
 
 
 def _validate_stable(params):
@@ -66,12 +63,7 @@ def _validate_stable(params):
             "index 1 needs the logarithmic correction term; "
             "use the closed-form Cauchy-mixture sampler instead"
         )
-    if not (0.0 < params.nu <= 2.0):
-        raise DomainError(f"index must lie in (0, 2], got {params.nu}")
-    if not (params.sigma > 0.0 and math.isfinite(params.sigma)):
-        raise DomainError(f"scale must be positive, got {params.sigma}")
-    if not (-1.0 <= params.beta <= 1.0):
-        raise DomainError(f"asymmetry must lie in [-1, 1], got {params.beta}")
+    check_params(nu=params.nu, sigma=params.sigma, beta=params.beta)
     if not math.isfinite(params.mu):
         raise DomainError(f"drift must be finite, got {params.mu}")
 
@@ -95,8 +87,7 @@ def _stable_draws(params, t, n, gen):
 def sample_stable(params, t, n, rng):
     """n draws of the stable law at time t, bit-reproducible from rng."""
     _validate_stable(params)
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    check_params(t=t)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
     return _stable_draws(params, t, int(n), rng.generator())
@@ -121,12 +112,7 @@ def sample_cauchy_mixture(alpha, p, t, n, rng):
     """Draws from the closed-form unit-index regime: a two-component
     Cauchy mixture with location +/- t sin(pi/2a), scale t cos(pi/2a),
     weight p on the positive-location component."""
-    if alpha <= 1.0:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must lie in [0,1], got {p}")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    check_params(alpha=alpha, p=p, t=t)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
     half = math.pi / (2.0 * alpha)

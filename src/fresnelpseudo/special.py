@@ -12,30 +12,36 @@ cross-validation of this package.
 
 Numerical notes
 ---------------
-* The power series is entire but alternates with huge terms once |x|
-  grows: at a = 1.5, x = 4 the largest term is ~1e8 while the sum is
-  O(1).  A float64 pass monitors the largest term and the sum is redone
-  in mpmath at a working precision sized from that magnitude whenever
-  float64 cannot deliver the requested tolerance.  Past ~200 digits the
-  evaluation refuses (NonConvergent) instead of silently degrading;
-  callers fall back to airy_quadrature, which has no such range limit.
-* Every series here (Airy, Wright, and the subordinated density) is
-  truncated by one log-magnitude scan, _scan_terms.  It evaluates
-  log|term_k| on a prefix k < n, n = 64, 512, 4096, then the cap of
-  10001 indices, and stops at the first prefix that holds an index past
-  its peak whose value is below the cutoff.  The result is exact, not
-  a heuristic: each log-magnitude is linear in k plus
-  gammaln(c (k+1)) - gammaln(k+1) (or the 2k+1 analogue) with c < 1,
-  which is strictly concave because c**2 psi'(c w) =
-  sum_n 1/(w + n/c)**2 < psi'(w).  Past the peak the sequence keeps
-  falling, so the prefix's peak and first-below index are those of a
-  scan out to the cap, and the elementwise ufuncs give the same bits on
-  a prefix.  The series need 30-300 terms, so the scan usually stops at
-  the 64- or 512-index prefix.
+* Every series here (Airy, Wright, and the subordinated density) goes
+  through one engine, _certified_sum, and supplies only its term
+  log-magnitudes, float64 terms and mpmath term.  The series are
+  entire but alternate with huge terms once |x| grows (at a = 1.5,
+  x = 4 the largest Airy term is ~1e8 while the sum is O(1)), so the
+  float64 fsum is accepted only when the largest term's rounding stays
+  below the tolerance; otherwise the sum is redone in mpmath at digits
+  sized from that term.  Past ~200 digits, or the 10001-term cap, it
+  refuses (NonConvergent) instead of silently degrading; callers fall
+  back to airy_quadrature, which has no such range limit.
+* The truncation scan _scan_terms evaluates log|term_k| on a prefix
+  k < n, n = 64, 512, 4096, then the cap of 10001 indices, and stops at
+  the first prefix that holds an index past its peak whose value is
+  below the cutoff.  The result is exact, not a heuristic: each
+  log-magnitude is linear in k plus gammaln(c (k+1)) - gammaln(k+1) (or
+  the 2k+1 analogue) with c < 1, which is strictly concave because
+  c**2 psi'(c w) = sum_n 1/(w + n/c)**2 < psi'(w).  Past the peak the
+  sequence keeps falling, so the prefix's peak and first-below index
+  are those of a scan out to the cap, and the elementwise ufuncs give
+  the same bits on a prefix.  The series need 30-300 terms, so the
+  scan usually stops at the 64- or 512-index prefix.
 * Near order 1 (and Wright index near 1) the float64 pass meets
   Gamma(k/alpha) overflowing while x**k/k! underflows; a pass with such
   a term rebuilds it, and the terms whose x**k/k! went subnormal, from
   their log-magnitudes instead of returning NaN.
+* The Weibull-expectation routes (density._weibull_expectation) have
+  the same cancellation, an integrand peaking near e^M for an O(1)
+  result; they raise NonConvergent once e^M * 1e-16 > tol.
+* errors.check_params does every range check and rejects NaN and +-inf,
+  so a non-finite parameter raises DomainError rather than give NaN.
 * For x >= 0 the defining integral is evaluated on a rotated ray where
   it decays like exp(-u**a/a - x*u*sin(pi/2a)) (absolutely convergent);
   for x < 0 the oscillatory phase-panel scheme in _quad is used.
@@ -57,7 +63,7 @@ import numpy as np
 from scipy import integrate, special as sp
 
 from ._quad import chirp_integral
-from .errors import DomainError, NonConvergent
+from .errors import DomainError, NonConvergent, check_params
 
 _SERIES_CAP = 10000  # iteration cap shared by all series in this module
 _MP_DPS_CAP = 200  # refuse beyond this working precision
@@ -73,8 +79,7 @@ class AiryOrder:
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 1.0 and math.isfinite(self.alpha)):
-            raise DomainError(f"Airy order needs alpha > 1, got {self.alpha}")
+        check_params(alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -100,10 +105,9 @@ class WrightArgs:
     z: float
 
     def __post_init__(self):
-        if not (0.0 < self.theta < 1.0):
-            raise DomainError(f"theta must lie in (0,1), got {self.theta}")
-        if self.z > 0.0:
-            raise DomainError(f"Wright branch evaluated at z <= 0 only, got {self.z}")
+        check_params(theta=self.theta)
+        if not -math.inf < self.z <= 0.0:
+            raise DomainError(f"Wright branch evaluated at finite z <= 0 only, got {self.z}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,57 +180,32 @@ def _airy_term_logs(k, x, alpha):
     )
 
 
-def _airy_series_scan(x, alpha, cutoff_log):
-    """Term-magnitude scan in log space.
+def _certified_sum(logmag, cutoff_log, log_pref, tol, f64_terms, mp_term, what):
+    """Sum of a series (to be scaled by exp(log_pref)), certified to tol.
 
-    Returns (K, max_log): truncation index (first index past the peak
-    where log|term| < cutoff_log) and the peak log magnitude.  The sine
-    factor is bounded by 1, so both are conservative.
+    Truncates by _scan_terms(logmag, cutoff_log).  If the peak term's
+    float64 rounding times the prefactor stays below tol/2, sums
+    f64_terms(k) -> (terms, small, signed_unit) on k = 0..K with
+    math.fsum after _rebuild_overflowed; else sums mp_term(k) in mpmath
+    at digits sized from the peak-to-tol ratio.  Raises NonConvergent,
+    naming the series by what() (formatted only then), at the term cap
+    or past _MP_DPS_CAP.
     """
-    found = _scan_terms(lambda k: _airy_term_logs(k, x, alpha), cutoff_log)
+    found = _scan_terms(logmag, cutoff_log)
     if found is None:
-        raise NonConvergent(
-            f"airy series terms fail to decay within {_SERIES_CAP} terms "
-            f"(x={x}, alpha={alpha})"
-        )
-    return found
-
-
-def _airy_series_f64(x, alpha, K):
-    """Vectorized float64 evaluation of the truncated series.
-
-    Terms are built from exactly-representable pieces (cumprod for
-    x**k/k!, vectorized gamma) and summed with math.fsum, so the only
-    error left is per-term rounding, which the caller gates on the
-    returned largest term.
-    """
-    k = np.arange(K + 1, dtype=float)
-    gam = sp.gamma((k + 1.0) / alpha)
-    xk_over_fact = np.cumprod(np.concatenate(([1.0], x / np.arange(1.0, K + 1.0))))
-    apow = np.exp(k * (math.log(alpha) / alpha))
-    sines = np.sin(np.pi * (k + 1.0) * (alpha + 1.0) / (2.0 * alpha))
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = gam * xk_over_fact * apow * sines
-    terms = _rebuild_overflowed(
-        terms, xk_over_fact, lambda kk: _airy_term_logs(kk, x, alpha), sines * np.sign(x) ** k
-    )
-    return math.fsum(terms.tolist()), float(np.max(np.abs(terms)))
-
-
-def _airy_series_mp(x, alpha, K, dps):
+        raise NonConvergent(f"{what()}: terms fail to decay within {_SERIES_CAP} terms")
+    K, peak_log = found
+    if log_pref + peak_log + math.log(_F64_TERM_RELERR) <= math.log(tol / 2.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms, small, signed_unit = f64_terms(np.arange(K + 1, dtype=float))
+        return math.fsum(_rebuild_overflowed(terms, small, logmag, signed_unit).tolist())
+    dps = 15 + max(0, int(math.ceil((peak_log - math.log(tol)) / math.log(10.0))))
+    if dps > _MP_DPS_CAP:
+        raise NonConvergent(f"{what()}: cancellation needs ~{dps} digits (cap {_MP_DPS_CAP})")
     with mp.workdps(dps):
-        xm = mp.mpf(x)
-        am = mp.mpf(alpha)
         total = mp.mpf(0)
         for k in range(K + 1):
-            total += (
-                xm**k
-                * am ** (mp.mpf(k) / am)
-                * mp.gamma(mp.mpf(k + 1) / am)
-                * mp.sin(mp.pi * (k + 1) * (am + 1) / (2 * am))
-                / mp.factorial(k)
-            )
-        total /= mp.pi * am ** ((am - 1) / am)
+            total += mp_term(k)
         return float(total)
 
 
@@ -246,28 +225,33 @@ def airy_series(x, order, tol=1e-10):
     """
     order = order if isinstance(order, AiryOrder) else AiryOrder(float(order))
     alpha = order.alpha
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    check_params(tol=tol)
     x = float(x)
     pref = _airy_prefactor(alpha)
     if x == 0.0:
         return pref * math.gamma(1.0 / alpha) * math.sin(
             math.pi * (alpha + 1.0) / (2.0 * alpha)
         )
-    # truncate when |term| (times prefactor) is far below tol; all gate
-    # comparisons stay in log space (peak terms can exceed float64 range)
-    K, max_log = _airy_series_scan(x, alpha, math.log(tol / pref) + math.log(1e-3))
-    if math.log(pref) + max_log + math.log(_F64_TERM_RELERR) <= math.log(tol / 2.0):
-        total, _ = _airy_series_f64(x, alpha, K)
-        return pref * total
-    # digits sized to the peak-term / tolerance ratio
-    dps = 15 + max(0, int(math.ceil((max_log - math.log(tol)) / math.log(10.0))))
-    if dps > _MP_DPS_CAP:
-        raise NonConvergent(
-            f"series cancellation needs ~{dps} digits (cap {_MP_DPS_CAP}) at "
-            f"x={x}, alpha={alpha}; use airy_quadrature"
-        )
-    return _airy_series_mp(x, alpha, K, dps)
+
+    def f64_terms(k):
+        # exactly-representable pieces: cumprod for x**k/k!, vectorized gamma
+        xk_over_fact = np.cumprod(np.concatenate(([1.0], x / k[1:])))
+        apow = np.exp(k * (math.log(alpha) / alpha))
+        sines = np.sin(np.pi * (k + 1.0) * (alpha + 1.0) / (2.0 * alpha))
+        terms = sp.gamma((k + 1.0) / alpha) * xk_over_fact * apow * sines
+        return terms, xk_over_fact, sines * np.sign(x) ** k
+
+    def mp_term(k):
+        am = mp.mpf(alpha)
+        sine = mp.sin(mp.pi * (k + 1) * (am + 1) / (2 * am))
+        return mp.mpf(x) ** k * am ** (k / am) * mp.gamma((k + 1) / am) * sine / mp.factorial(k)
+
+    # truncate when |term| (times prefactor) is far below tol; the sine
+    # factor is bounded by 1, so the log-magnitudes are conservative
+    logmag = lambda k: _airy_term_logs(k, x, alpha)
+    cutoff = math.log(tol / pref) + math.log(1e-3)
+    what = lambda: f"airy series at x={x}, alpha={alpha}"
+    return pref * _certified_sum(logmag, cutoff, math.log(pref), tol, f64_terms, mp_term, what)
 
 
 def series_float64_range(alpha, tol=1e-10):
@@ -360,8 +344,7 @@ def airy_quadrature(x, order, tol=1e-10):
         DomainError: alpha <= 1 or tol <= 0.
     """
     order = order if isinstance(order, AiryOrder) else AiryOrder(float(order))
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    check_params(tol=tol)
     x = float(x)
     if x >= 0.0:
         return _airy_rotated_ray(x, order.alpha, tol)
@@ -406,11 +389,12 @@ def _airy_grid_series(xs, alpha):
     # shared truncation for the whole batch, sized at the largest |x|
     xa = float(np.max(np.abs(xs))) if xs.size else 1.0
     pref = _airy_prefactor(alpha)
-    K, _ = _airy_series_scan(max(xa, 1e-12), alpha, math.log(1e-16))
-    k = np.arange(K + 1, dtype=float)
-    coef = (
-        np.exp(k * (math.log(alpha) / alpha) + sp.gammaln((k + 1.0) / alpha) - sp.gammaln(k + 1.0))
-        * np.sin(np.pi * (k + 1.0) * (alpha + 1.0) / (2.0 * alpha))
+    found = _scan_terms(lambda k: _airy_term_logs(k, max(xa, 1e-12), alpha), math.log(1e-16))
+    if found is None:
+        raise NonConvergent(f"airy grid series terms fail to decay within {_SERIES_CAP} terms")
+    k = np.arange(found[0] + 1, dtype=float)
+    coef = np.exp(_airy_term_logs(k, 1.0, alpha)) * np.sin(
+        np.pi * (k + 1.0) * (alpha + 1.0) / (2.0 * alpha)
     )
     powers = np.power.outer(xs, k)  # (n, K+1)
     return pref * (powers @ coef)
@@ -469,44 +453,26 @@ def wright_series(args, tol=1e-12):
     alternating cancellation exceeds the supported working precision.
     """
     args = args if isinstance(args, WrightArgs) else WrightArgs(*args)
+    check_params(tol=tol)
     theta, z = args.theta, args.z
     if z == 0.0:
         return math.sin(math.pi * theta) * math.gamma(theta) / math.pi
-    logmag = lambda k: _wright_term_logs(k, abs(z), theta)
-    found = _scan_terms(logmag, math.log(tol) - 3.0 * math.log(10.0))
-    if found is None:
-        raise NonConvergent(
-            f"wright series fails to decay within {_SERIES_CAP} terms (z={z})"
-        )
-    K, peak_log = found
-    if peak_log + math.log(_F64_TERM_RELERR) <= math.log(tol / 2.0):
-        k = np.arange(K + 1, dtype=float)
-        gam = sp.gamma(theta * (k + 1.0))
+
+    def f64_terms(k):
         sines = np.sin(np.pi * theta * (k + 1.0))
-        zk_over_fact = np.cumprod(
-            np.concatenate(([1.0], z / np.arange(1.0, K + 1.0)))
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = gam * sines * zk_over_fact / math.pi
-        terms = _rebuild_overflowed(terms, zk_over_fact, logmag, sines * (-1.0) ** k)
-        return math.fsum(terms.tolist())
-    dps = 15 + max(0, int(math.ceil((peak_log - math.log(tol)) / math.log(10.0))))
-    if dps > _MP_DPS_CAP:
-        raise NonConvergent(
-            f"wright series cancellation needs ~{dps} digits (cap {_MP_DPS_CAP}) "
-            f"at z={z}, theta={theta}"
-        )
-    with mp.workdps(dps):
-        zm, tm = mp.mpf(z), mp.mpf(theta)
-        total = mp.mpf(0)
-        for kk in range(K + 1):
-            total += (
-                zm**kk
-                * mp.sin(mp.pi * tm * (kk + 1))
-                * mp.gamma(tm * (kk + 1))
-                / (mp.pi * mp.factorial(kk))
-            )
-        return float(total)
+        zk_over_fact = np.cumprod(np.concatenate(([1.0], z / k[1:])))
+        terms = sp.gamma(theta * (k + 1.0)) * sines * zk_over_fact / math.pi
+        return terms, zk_over_fact, sines * (-1.0) ** k
+
+    def mp_term(k):
+        tm = mp.mpf(theta)
+        sine = mp.sin(mp.pi * tm * (k + 1))
+        return mp.mpf(z) ** k * sine * mp.gamma(tm * (k + 1)) / (mp.pi * mp.factorial(k))
+
+    logmag = lambda k: _wright_term_logs(k, abs(z), theta)
+    cutoff = math.log(tol) - 3.0 * math.log(10.0)
+    what = lambda: f"wright series at z={z}, theta={theta}"
+    return _certified_sum(logmag, cutoff, 0.0, tol, f64_terms, mp_term, what)
 
 
 # series -> saddle switch for the subordinator density: use the saddle
@@ -532,13 +498,11 @@ def stable_subordinator_pdf(x, t, theta):
     error O(1/B) elsewhere -- a stated limitation, negligible at that
     magnitude.
 
-    Raises DomainError on x <= 0, t <= 0, or theta outside (0,1).
+    Raises DomainError unless x > 0, t > 0 is finite and theta lies in
+    (0,1).
     """
-    if not (0.0 < theta < 1.0):
-        raise DomainError(f"theta must lie in (0,1), got {theta}")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    if x <= 0.0:
+    check_params(t=t, theta=theta)
+    if not x > 0.0:
         raise DomainError(f"subordinator density defined for x > 0, got {x}")
     y = t / x**theta
     b_exp = _saddle_exponent(y, theta)

@@ -33,16 +33,9 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate, special as sp
 
-from .density import OscillationConstants, PseudoParams, density
-from .errors import DomainError, InvalidRegime, NonConvergent, QuadratureFailure
-from .special import (
-    _F64_TERM_RELERR,
-    _MP_DPS_CAP,
-    _SERIES_CAP,
-    _rebuild_overflowed,
-    _scan_terms,
-    stable_subordinator_pdf,
-)
+from .density import PseudoParams, _weibull_expectation, density
+from .errors import DomainError, InvalidRegime, QuadratureFailure, check_params
+from .special import _certified_sum, stable_subordinator_pdf
 
 # skip the subordinator's essentially-zero left tail: below the s where
 # its saddle exponent reaches this, h < e^-40 * polynomial
@@ -59,12 +52,7 @@ class SubordinationSpec:
     p: float
 
     def __post_init__(self):
-        if not (self.alpha > 1.0 and math.isfinite(self.alpha)):
-            raise DomainError(f"alpha must exceed 1, got {self.alpha}")
-        if not (0.0 < self.theta < 1.0):
-            raise DomainError(f"theta must lie in (0,1), got {self.theta}")
-        if not (0.0 <= self.p <= 1.0):
-            raise DomainError(f"p must lie in [0,1], got {self.p}")
+        check_params(alpha=self.alpha, p=self.p, theta=self.theta)
 
     @property
     def nu(self):
@@ -133,8 +121,7 @@ def parameter_map(spec):
 
 def subordinated_char_fn(gamma, spec, t):
     """Fourier transform of the subordinated signed density."""
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    check_params(t=t)
     scalar = np.isscalar(gamma) or np.ndim(gamma) == 0
     g = np.atleast_1d(np.asarray(gamma, dtype=float))
     nu = spec.nu
@@ -164,50 +151,28 @@ def subordinated_density_series(x, spec, t, tol=1e-10):
         raise DomainError(f"series requires alpha*theta > 1, got {nu}")
     if spec.p != 0.5:
         raise DomainError("series form exists only at p = 1/2")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    check_params(t=t, tol=tol)
     z = abs(float(x)) / t ** (1.0 / nu)
     pref = 1.0 / (nu * math.pi * t ** (1.0 / nu))
     sine_arg = math.pi * (spec.alpha + 1.0) / (2.0 * spec.alpha)
     if z == 0.0:
         return pref * math.gamma(1.0 / nu) * math.sin(sine_arg)
+    alpha = spec.alpha
+
+    def f64_terms(k):
+        z2k_fact = np.cumprod(np.concatenate(([1.0], z * z / ((2.0 * k[1:] - 1.0) * 2.0 * k[1:]))))
+        sines = np.sin(math.pi * (2.0 * k + 1.0) * (alpha + 1.0) / (2.0 * alpha))
+        return sp.gamma((2.0 * k + 1.0) / nu) * z2k_fact * sines, z2k_fact, sines
+
+    def mp_term(k):
+        am = mp.mpf(alpha)
+        sine = mp.sin(mp.pi * (2 * k + 1) * (am + 1) / (2 * am))
+        return mp.mpf(z) ** (2 * k) * mp.gamma(mp.mpf(2 * k + 1) / nu) * sine / mp.factorial(2 * k)
+
     logmag = lambda k: _sub_term_logs(k, z * z, nu)
-    found = _scan_terms(logmag, math.log(tol / pref) + math.log(1e-3))
-    if found is None:
-        raise NonConvergent(
-            f"subordinated series fails to decay within {_SERIES_CAP} terms"
-        )
-    K, max_log = found
-    if math.log(pref) + max_log + math.log(_F64_TERM_RELERR) <= math.log(tol / 2.0):
-        k = np.arange(K + 1, dtype=float)
-        gam = sp.gamma((2.0 * k + 1.0) / nu)
-        ratios = np.concatenate(
-            ([1.0], z * z / ((2.0 * k[1:] - 1.0) * 2.0 * k[1:]))
-        )
-        z2k_fact = np.cumprod(ratios)
-        sines = np.sin(math.pi * (2.0 * k + 1.0) * (spec.alpha + 1.0) / (2.0 * spec.alpha))
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = gam * z2k_fact * sines
-        terms = _rebuild_overflowed(terms, z2k_fact, logmag, sines)
-        return pref * math.fsum(terms.tolist())
-    dps = 15 + max(0, int(math.ceil((max_log - math.log(tol)) / math.log(10.0))))
-    if dps > _MP_DPS_CAP:
-        raise NonConvergent(
-            f"series cancellation needs ~{dps} digits (cap {_MP_DPS_CAP}) "
-            f"at x={x}; use the quadrature form"
-        )
-    with mp.workdps(dps):
-        zm = mp.mpf(z)
-        num = mp.mpf(spec.alpha)
-        total = mp.mpf(0)
-        for kk in range(K + 1):
-            total += (
-                zm ** (2 * kk)
-                * mp.gamma(mp.mpf(2 * kk + 1) / nu)
-                * mp.sin(mp.pi * (2 * kk + 1) * (num + 1) / (2 * num))
-                / mp.factorial(2 * kk)
-            )
-        return pref * float(total)
+    cutoff = math.log(tol / pref) + math.log(1e-3)
+    what = lambda: f"subordinated series at x={x}"
+    return pref * _certified_sum(logmag, cutoff, math.log(pref), tol, f64_terms, mp_term, what)
 
 
 def _left_cutoff(theta, t):
@@ -223,8 +188,7 @@ def subordinated_density_quadrature(x, spec, t, tol=1e-9):
     is the reference route the series and expectation forms are checked
     against.
     """
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    check_params(t=t, tol=tol)
     x = float(x)
     alpha, theta, p = spec.alpha, spec.theta, spec.p
 
@@ -264,7 +228,8 @@ def subordinated_weibull_repr(x, spec, t, tol=1e-10):
     identity fail, which the tests check as a negative control.
 
     Requires nu > 1 (the expectation diverges otherwise), p = 1/2, and
-    x != 0.
+    x != 0; raises NonConvergent where the integrand's growth outweighs
+    the tolerance (see density._weibull_expectation).
     """
     if x == 0.0:
         raise DomainError("the expectation identity is undefined at x = 0")
@@ -273,28 +238,5 @@ def subordinated_weibull_repr(x, spec, t, tol=1e-10):
     nu = spec.nu
     if nu <= 1.0:
         raise DomainError(f"expectation form requires alpha*theta > 1, got {nu}")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    x = float(x)
-    osc = OscillationConstants.for_order(spec.alpha)
-    a_c, b_c = osc.a_alpha, osc.b_alpha
-
-    g_up = (746.0 / t) ** (1.0 / nu)
-    for _ in range(4):
-        g_up = ((746.0 + b_c * abs(x) * g_up) / t) ** (1.0 / nu)
-    mode_g = ((nu - 1.0) / (nu * t)) ** (1.0 / nu)
-    val, _ = integrate.quad(
-        lambda g: math.sin(a_c * x * g)
-        * math.cosh(b_c * x * g)
-        * nu
-        * t
-        * g ** (nu - 1.0)
-        * math.exp(-t * g**nu),
-        0.0,
-        g_up,
-        epsabs=tol,
-        epsrel=1e-12,
-        limit=500,
-        points=[mode_g] if 0.0 < mode_g < g_up else None,
-    )
-    return val / (math.pi * x)
+    check_params(t=t, tol=tol)
+    return _weibull_expectation(float(x), nu, t, 0.5, spec.alpha, tol)

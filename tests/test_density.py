@@ -14,7 +14,7 @@ from fresnelpseudo.density import (
     pde_fourier_residual,
     weibull_representation,
 )
-from fresnelpseudo.errors import DomainError, UnsupportedClosedForm
+from fresnelpseudo.errors import DomainError, NonConvergent, UnsupportedClosedForm
 from fresnelpseudo.special import airy_cdf_tail
 
 
@@ -185,6 +185,26 @@ class TestWeibullRepresentation:
         truth = density(1.0, pp)
         assert abs(a - truth) < 5e-3
         assert abs(c - truth) < 5e-3
+
+    @pytest.mark.parametrize(
+        "alpha,x", [(1.5, 10.0), (1.5, 12.0), (2.5, 10.0), (2.5, 30.0), (2.5, 40.0), (3.0, 40.0)]
+    )
+    def test_moderate_x_agrees_or_refuses(self, alpha, x):
+        """Past moderate |x| the integrand's growth e^{b_c x g} cancels
+        to an O(1) value; the quadrature either still certifies it or
+        raises NonConvergent, never NaN or a wrong number."""
+        pp = PseudoParams(alpha, 0.3, 1.0)
+        try:
+            wr = weibull_representation(x, pp)
+        except NonConvergent:
+            return
+        assert wr == pytest.approx(density(x, pp), abs=1e-9)
+
+    def test_cancellation_gate_lets_moderate_x_through(self):
+        pp = PseudoParams(2.5, 0.3, 1.0)
+        assert weibull_representation(10.0, pp) == pytest.approx(density(10.0, pp), abs=1e-9)
+        with pytest.raises(NonConvergent):
+            weibull_representation(30.0, pp)
 
     def test_rejects_x_zero_and_bad_mode(self):
         pp = PseudoParams(2.0, 0.5, 1.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fresnelpseudo.errors import DomainError, InvalidRegime
+from fresnelpseudo.errors import DomainError, InvalidRegime, NonConvergent
 from fresnelpseudo.subordination import (
     CauchyCase,
     StableParams,
@@ -332,6 +332,25 @@ class TestWeibullForm:
         target = subordinated_density_series(x, spec, t)
         assert abs(right - target) < 1e-12
         assert abs(wrong - target) > 1e-2
+
+    @pytest.mark.parametrize("x", [3.0, 4.0, 5.0, 8.0, 12.0, 20.0])
+    def test_moderate_x_agrees_or_refuses(self, x):
+        """These points used to raise OverflowError from a separate
+        cosh factor; now each agrees with the series or raises
+        NonConvergent from the cancellation gate."""
+        spec = SubordinationSpec(3.0, 0.4, 0.5)
+        try:
+            wv = subordinated_weibull_repr(x, spec, 1.0)
+        except NonConvergent:
+            return
+        assert wv == pytest.approx(subordinated_density_series(x, spec, 1.0), abs=1e-10)
+
+    def test_value_past_the_old_overflow(self):
+        spec = SubordinationSpec(3.0, 0.4, 0.5)
+        wv = subordinated_weibull_repr(4.0, spec, 1.0)
+        assert wv == pytest.approx(subordinated_density_series(4.0, spec, 1.0), abs=1e-12)
+        with pytest.raises(NonConvergent):
+            subordinated_weibull_repr(8.0, spec, 1.0)
 
     def test_rejects_origin(self):
         with pytest.raises(DomainError):
