@@ -158,6 +158,8 @@ def _weibull_expectation(x, shape, t, p, alpha, tol):
     osc = OscillationConstants.for_order(alpha)
     a_c, b_c = osc.a_alpha, osc.b_alpha
     bx = b_c * abs(x)
+    # numpy power: an overflowing g* becomes inf, which the gate refuses,
+    # where a float power would raise OverflowError
     with np.errstate(over="ignore"):
         g_star = np.float64(bx / (t * shape)) ** (1.0 / (shape - 1.0))
     peak_log = (1.0 - 1.0 / shape) * bx * g_star

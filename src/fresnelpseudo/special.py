@@ -180,16 +180,18 @@ def _airy_term_logs(k, x, alpha):
     )
 
 
-def _certified_sum(logmag, cutoff_log, log_pref, tol, f64_terms, mp_term, what):
+def _certified_sum(logmag, cutoff_log, log_pref, tol, f64_terms, mp_terms, what):
     """Sum of a series (to be scaled by exp(log_pref)), certified to tol.
 
     Truncates by _scan_terms(logmag, cutoff_log).  If the peak term's
     float64 rounding times the prefactor stays below tol/2, sums
     f64_terms(k) -> (terms, small, signed_unit) on k = 0..K with
-    math.fsum after _rebuild_overflowed; else sums mp_term(k) in mpmath
-    at digits sized from the peak-to-tol ratio.  Raises NonConvergent,
-    naming the series by what() (formatted only then), at the term cap
-    or past _MP_DPS_CAP.
+    math.fsum after _rebuild_overflowed; else sums the terms k = 0..K
+    that the generator mp_terms(K) yields (it converts its float
+    arguments to mpf once per sum, not per term) in mpmath at digits
+    sized from the peak-to-tol ratio.  Raises NonConvergent, naming the
+    series by what() (formatted only then), at the term cap or past
+    _MP_DPS_CAP.
     """
     found = _scan_terms(logmag, cutoff_log)
     if found is None:
@@ -204,8 +206,8 @@ def _certified_sum(logmag, cutoff_log, log_pref, tol, f64_terms, mp_term, what):
         raise NonConvergent(f"{what()}: cancellation needs ~{dps} digits (cap {_MP_DPS_CAP})")
     with mp.workdps(dps):
         total = mp.mpf(0)
-        for k in range(K + 1):
-            total += mp_term(k)
+        for term in mp_terms(K):
+            total += term
         return float(total)
 
 
@@ -241,17 +243,18 @@ def airy_series(x, order, tol=1e-10):
         terms = sp.gamma((k + 1.0) / alpha) * xk_over_fact * apow * sines
         return terms, xk_over_fact, sines * np.sign(x) ** k
 
-    def mp_term(k):
-        am = mp.mpf(alpha)
-        sine = mp.sin(mp.pi * (k + 1) * (am + 1) / (2 * am))
-        return mp.mpf(x) ** k * am ** (k / am) * mp.gamma((k + 1) / am) * sine / mp.factorial(k)
+    def mp_terms(K):
+        xm, am = mp.mpf(x), mp.mpf(alpha)
+        for k in range(K + 1):
+            sine = mp.sin(mp.pi * (k + 1) * (am + 1) / (2 * am))
+            yield xm**k * am ** (k / am) * mp.gamma((k + 1) / am) * sine / mp.factorial(k)
 
     # truncate when |term| (times prefactor) is far below tol; the sine
     # factor is bounded by 1, so the log-magnitudes are conservative
     logmag = lambda k: _airy_term_logs(k, x, alpha)
     cutoff = math.log(tol / pref) + math.log(1e-3)
     what = lambda: f"airy series at x={x}, alpha={alpha}"
-    return pref * _certified_sum(logmag, cutoff, math.log(pref), tol, f64_terms, mp_term, what)
+    return pref * _certified_sum(logmag, cutoff, math.log(pref), tol, f64_terms, mp_terms, what)
 
 
 def series_float64_range(alpha, tol=1e-10):
@@ -464,15 +467,16 @@ def wright_series(args, tol=1e-12):
         terms = sp.gamma(theta * (k + 1.0)) * sines * zk_over_fact / math.pi
         return terms, zk_over_fact, sines * (-1.0) ** k
 
-    def mp_term(k):
-        tm = mp.mpf(theta)
-        sine = mp.sin(mp.pi * tm * (k + 1))
-        return mp.mpf(z) ** k * sine * mp.gamma(tm * (k + 1)) / (mp.pi * mp.factorial(k))
+    def mp_terms(K):
+        zm, tm = mp.mpf(z), mp.mpf(theta)
+        for k in range(K + 1):
+            sine = mp.sin(mp.pi * tm * (k + 1))
+            yield zm**k * sine * mp.gamma(tm * (k + 1)) / (mp.pi * mp.factorial(k))
 
     logmag = lambda k: _wright_term_logs(k, abs(z), theta)
     cutoff = math.log(tol) - 3.0 * math.log(10.0)
     what = lambda: f"wright series at z={z}, theta={theta}"
-    return _certified_sum(logmag, cutoff, 0.0, tol, f64_terms, mp_term, what)
+    return _certified_sum(logmag, cutoff, 0.0, tol, f64_terms, mp_terms, what)
 
 
 # series -> saddle switch for the subordinator density: use the saddle

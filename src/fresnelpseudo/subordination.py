@@ -164,15 +164,16 @@ def subordinated_density_series(x, spec, t, tol=1e-10):
         sines = np.sin(math.pi * (2.0 * k + 1.0) * (alpha + 1.0) / (2.0 * alpha))
         return sp.gamma((2.0 * k + 1.0) / nu) * z2k_fact * sines, z2k_fact, sines
 
-    def mp_term(k):
-        am = mp.mpf(alpha)
-        sine = mp.sin(mp.pi * (2 * k + 1) * (am + 1) / (2 * am))
-        return mp.mpf(z) ** (2 * k) * mp.gamma(mp.mpf(2 * k + 1) / nu) * sine / mp.factorial(2 * k)
+    def mp_terms(K):
+        zm, am = mp.mpf(z), mp.mpf(alpha)
+        for k in range(K + 1):
+            sine = mp.sin(mp.pi * (2 * k + 1) * (am + 1) / (2 * am))
+            yield zm ** (2 * k) * mp.gamma(mp.mpf(2 * k + 1) / nu) * sine / mp.factorial(2 * k)
 
     logmag = lambda k: _sub_term_logs(k, z * z, nu)
     cutoff = math.log(tol / pref) + math.log(1e-3)
     what = lambda: f"subordinated series at x={x}"
-    return pref * _certified_sum(logmag, cutoff, math.log(pref), tol, f64_terms, mp_term, what)
+    return pref * _certified_sum(logmag, cutoff, math.log(pref), tol, f64_terms, mp_terms, what)
 
 
 def _left_cutoff(theta, t):
