@@ -177,9 +177,13 @@ def _weibull_expectation(x, shape, t, p, alpha, tol):
     bxs = b_c * x
 
     def integrand(g):
+        # sin(a_c x g)/x as a_c g sinc(a_c x g / pi): the tolerance then
+        # applies to the quotient, and a subnormal x cannot underflow it
+        arg = a_c * x * g
+        sin_over_x = a_c * g * (math.sin(arg) / arg if arg else 1.0)
         decay = t * g**shape
         weights = p * math.exp(bxs * g - decay) + (1.0 - p) * math.exp(-bxs * g - decay)
-        return math.sin(a_c * x * g) * shape * t * g ** (shape - 1.0) * weights
+        return sin_over_x * shape * t * g ** (shape - 1.0) * weights
 
     val, _ = integrate.quad(
         integrand,
@@ -190,7 +194,7 @@ def _weibull_expectation(x, shape, t, p, alpha, tol):
         limit=500,
         points=[mode_g] if 0.0 < mode_g < upper else None,
     )
-    return val / (math.pi * x)
+    return val / math.pi
 
 
 def weibull_representation(x, params, mode="quadrature", n=200_000, seed=0, tol=1e-10):

@@ -113,8 +113,10 @@ def _panel_nodes(a, b, alpha, lam):
 
 def box_kernel_integral(a, b, alpha, p, t, tol=1e-10):
     """int_a^b u(y, t) dy through the kernel tail identity; either
-    endpoint may be infinite."""
+    endpoint may be infinite, neither may be NaN."""
     check_params(alpha=alpha, p=p, t=t, tol=tol)
+    if math.isnan(a) or math.isnan(b):
+        raise DomainError(f"box edges must not be NaN, got ({a}, {b})")
     lam = _lam(alpha, t)
 
     def tail(c):
@@ -138,12 +140,10 @@ def line_total(alpha, p, t, tol=1e-9):
     cut = 8.0 * lam
     nodes, weights = _panel_nodes(-cut, cut, alpha, lam)
     core = float(np.dot(weights, _kernel_grid(nodes, alpha, p, t, tol)))
-    upper = p * (1.0 - airy_cdf_tail(-cut / lam, alpha, tol)) + (1.0 - p) * airy_cdf_tail(
-        cut / lam, alpha, tol
-    )
-    lower = p * airy_cdf_tail(cut / lam, alpha, tol) + (1.0 - p) * (
-        1.0 - airy_cdf_tail(-cut / lam, alpha, tol)
-    )
+    tail_neg = airy_cdf_tail(-cut / lam, alpha, tol)
+    tail_pos = airy_cdf_tail(cut / lam, alpha, tol)
+    upper = p * (1.0 - tail_neg) + (1.0 - p) * tail_pos
+    lower = p * tail_pos + (1.0 - p) * (1.0 - tail_neg)
     return core + upper + lower
 
 

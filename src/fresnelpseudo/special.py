@@ -6,8 +6,8 @@ The generalized Airy function of order alpha > 1 is
     Ai_a(x) = (1/pi) int_0^inf cos(s*x + s**a/a) ds,
 
 which coincides with the classical Airy function at a = 3.  Two
-independent evaluation routes are provided: a power series and an
-oscillatory-integral scheme; their agreement is the main
+independent evaluation routes are provided: a power series and a
+contour-integral scheme; their agreement is the main
 cross-validation of this package.
 
 Numerical notes
@@ -42,25 +42,31 @@ Numerical notes
   result; they raise NonConvergent once e^M * 1e-16 > tol.
 * errors.check_params does every range check and rejects NaN and +-inf,
   so a non-finite parameter raises DomainError rather than give NaN.
-* For x >= 0 the defining integral is evaluated on a rotated ray where
-  it decays like exp(-u**a/a - x*u*sin(pi/2a)) (absolutely convergent);
-  for x < 0 the oscillatory phase-panel scheme in _quad is used.
+* Outside the series range the kernel and its tail integral come from
+  _quad.chirp_integral, one contour rule batched over points: the
+  defining integral is taken along a path on which |e^{i phi}| falls
+  from 1 along every leg (a ray at arg s = pi/(2a) for x >= 0 or a
+  shallow well, three legs through the real saddle otherwise), with a
+  tanh-sinh rule per leg.  Its error estimate is the difference from
+  the embedded half-step sum, plus a bound for the float64 rounding of
+  the phase; where the two exceed tol after one step halving it raises
+  NonConvergent.  Its cost does not grow with |x|.
 * Tail integrals int_c^inf Ai_a(y) dy are evaluated through the
   regularized Fubini identity  int_c^inf Ai_a = 1/2 - S(c),
   S(c) = (1/pi) int_0^inf sin(s**a/a + c*s)/s ds, which reproduces the
-  classical facts int_0^inf Ai = 1/3 (a=3) and 1/4 (a=2).
+  classical facts int_0^inf Ai = 1/3 (a=3) and 1/4 (a=2); S(c) runs on
+  the same contour, with the pole at s = 0 taken round analytically.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate, special as sp
+from scipy import special as sp
 
 from ._quad import chirp_integral
 from .errors import DomainError, NonConvergent, check_params
@@ -292,66 +298,20 @@ def series_float64_range(alpha, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-def _airy_rotated_ray(x, alpha, tol):
-    # x >= 0: Ai_a(x) = (1/pi) int_0^inf e^{-u^a/a - b x u} cos(a_c x u + th) du,
-    # th = pi/(2a), a_c = cos(th), b = sin(th).  Derived by rotating the
-    # integration ray to arg s = pi/(2a); absolutely convergent.
-    th = math.pi / (2.0 * alpha)
-    ac, bs = math.cos(th), math.sin(th)
-    upper = (745.0 * alpha) ** (1.0 / alpha)
-
-    def env(u):
-        return math.exp(-(u**alpha) / alpha - bs * x * u) / math.pi
-
-    omega = ac * x
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if omega < 1e-8:
-            val, abserr = integrate.quad(
-                lambda u: env(u) * math.cos(omega * u + th),
-                0.0,
-                upper,
-                epsabs=tol / 2.0,
-                epsrel=1e-13,
-                limit=200,
-            )
-        else:
-            ic, e1 = integrate.quad(
-                env, 0.0, upper, weight="cos", wvar=omega, epsabs=tol / 4.0, limit=200
-            )
-            is_, e2 = integrate.quad(
-                env, 0.0, upper, weight="sin", wvar=omega, epsabs=tol / 4.0, limit=200
-            )
-            val = math.cos(th) * ic - math.sin(th) * is_
-            abserr = e1 + e2
-    # The weighted-quadrature error report is very conservative (~1e-9
-    # even when the true error is at machine epsilon); the gate below
-    # only catches genuine breakdown.  Actual accuracy is pinned by the
-    # dual-route agreement tests.
-    if not math.isfinite(val) or abserr > max(10.0 * tol, 5e-9):
-        raise NonConvergent(
-            f"rotated-ray quadrature failed at x={x}, alpha={alpha} "
-            f"(abserr={abserr:.2e})"
-        )
-    return val
-
-
 def airy_quadrature(x, order, tol=1e-10):
-    """Oscillatory-integral value of the generalized Airy function.
+    """Contour-integral value of the generalized Airy function.
 
     Agrees with airy_series on the series working range; has no range
     restriction of its own.
 
     Raises:
-        NonConvergent: the oscillatory tail estimate does not stabilize.
-        DomainError: alpha <= 1 or tol <= 0.
+        NonConvergent: the contour rule cannot certify tol at x (its
+            error estimate plus rounding bound exceeds it).
+        DomainError: alpha <= 1, tol <= 0 or a non-finite x.
     """
     order = order if isinstance(order, AiryOrder) else AiryOrder(float(order))
     check_params(tol=tol)
-    x = float(x)
-    if x >= 0.0:
-        return _airy_rotated_ray(x, order.alpha, tol)
-    return chirp_integral(order.alpha, x, kind="cos", tol=tol * math.pi) / math.pi
+    return chirp_integral(order.alpha, float(x), kind="cos", tol=tol * math.pi) / math.pi
 
 
 def airy_point(x, alpha, tol=1e-10):
@@ -375,16 +335,16 @@ def _f64_range_cached(alpha, tol):
 
 
 def airy_grid(xs, alpha, tol=1e-10):
-    """Vectorized Ai_a over an array; series where certified, pointwise
-    quadrature fallback elsewhere."""
+    """Vectorized Ai_a over an array; series where certified, one batched
+    contour-rule call for the points beyond."""
     xs = np.asarray(xs, dtype=float)
     out = np.empty_like(xs)
     xmax = _f64_range_cached(alpha, tol)
     safe = np.abs(xs) <= xmax
     if np.any(safe):
         out[safe] = _airy_grid_series(xs[safe], alpha)
-    for i in np.nonzero(~safe)[0]:
-        out[i] = airy_quadrature(xs[i], AiryOrder(alpha), tol)
+    if not np.all(safe):
+        out[~safe] = chirp_integral(alpha, xs[~safe], kind="cos", tol=tol * math.pi) / math.pi
     return out
 
 

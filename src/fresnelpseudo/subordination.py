@@ -8,8 +8,8 @@ of index theta in (0, 1) gives
 
 and on the Fourier side (for the branch weighted p)
 
-    w_hat(g, t) = p  * exp(-t |g|^{a th} cos(pi th/2) (1 + i tan(pi th/2) sgn g))
-                + (1-p) * exp(-t |g|^{a th} cos(pi th/2) (1 - i tan(pi th/2) sgn g)),
+    w_hat(g, t) = p  * exp(-t |g|^{a th} cos(pi th/2) (1 - i tan(pi th/2) sgn g))
+                + (1-p) * exp(-t |g|^{a th} cos(pi th/2) (1 + i tan(pi th/2) sgn g)),
 
 which is the characteristic function of a two-component mixture of
 stable laws of index nu = a*theta.  parameter_map extracts those stable
@@ -107,7 +107,7 @@ def parameter_map(spec):
         # law is Gaussian; fix beta = 0 by convention
         beta = 0.0
     else:
-        beta = -math.tan(half_theta) / math.tan(math.pi * nu / 2.0)
+        beta = math.tan(half_theta) / math.tan(math.pi * nu / 2.0)
     if abs(beta) > 1.0 + 1e-9:
         raise InvalidRegime(
             f"implied asymmetry beta = {beta:.6f} outside [-1, 1] at "
@@ -120,14 +120,16 @@ def parameter_map(spec):
 
 
 def subordinated_char_fn(gamma, spec, t):
-    """Fourier transform of the subordinated signed density."""
+    """Fourier transform of the subordinated signed density: char_fn
+    composed with the subordinator's Laplace transform e^{-t lam^theta},
+    lam = -i |g|^alpha sgn g on the p-branch."""
     check_params(t=t)
     scalar = np.isscalar(gamma) or np.ndim(gamma) == 0
     g = np.atleast_1d(np.asarray(gamma, dtype=float))
     nu = spec.nu
     half_theta = math.pi * spec.theta / 2.0
     base = t * np.abs(g) ** nu * math.cos(half_theta)
-    rot = 1.0 + 1j * math.tan(half_theta) * np.sign(g)
+    rot = 1.0 - 1j * math.tan(half_theta) * np.sign(g)
     out = spec.p * np.exp(-base * rot) + (1.0 - spec.p) * np.exp(-base * np.conj(rot))
     return complex(out[0]) if scalar else out
 

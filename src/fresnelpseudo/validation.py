@@ -132,7 +132,7 @@ def subordination_suite():
     pm = parameter_map(SubordinationSpec(3.0, 0.5, 0.5))
     err = (
         abs(pm.nu - 1.5)
-        + abs(pm.beta - 1.0)
+        + abs(pm.beta + 1.0)
         + abs(pm.sigma - 2.0 ** (-1.0 / 3.0))
         + abs(pm.mu)
     )

@@ -4,7 +4,7 @@ the lines as they go by).
 
 Criterion 6 covers three parameter combinations; the middle one,
 (alpha, theta, p) = (2.5, 0.6, 0.5), asks for draws from a stable law
-whose implied asymmetry is beta = -tan(pi*0.3)/tan(pi*0.75) = +1.376,
+whose implied asymmetry is beta = tan(pi*0.3)/tan(pi*0.75) = -1.376,
 outside the admissible range [-1, 1].  No sampler can realize it, so
 that sub-case is marked xfail(strict=True): it fails for the stated
 reason, visibly, and the suite stays green.  The other two
@@ -157,7 +157,7 @@ def test_criterion_06_empirical_transform(alpha, theta, p):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="(2.5, 0.6, 0.5) maps to asymmetry beta = +1.376, outside [-1, 1]; "
+    reason="(2.5, 0.6, 0.5) maps to asymmetry beta = -1.376, outside [-1, 1]; "
     "no stable law has that parameter, so the draw is impossible",
 )
 def test_criterion_06_middle_combination():

@@ -16,6 +16,11 @@ from fresnelpseudo.density import (
 )
 from fresnelpseudo.errors import DomainError, NonConvergent, UnsupportedClosedForm
 from fresnelpseudo.special import airy_cdf_tail
+from fresnelpseudo.subordination import (
+    SubordinationSpec,
+    subordinated_density_series,
+    subordinated_weibull_repr,
+)
 
 
 class TestParams:
@@ -205,6 +210,16 @@ class TestWeibullRepresentation:
         assert weibull_representation(10.0, pp) == pytest.approx(density(10.0, pp), abs=1e-9)
         with pytest.raises(NonConvergent):
             weibull_representation(30.0, pp)
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-12, 1e-300, 5e-324])
+    def test_tiny_x_keeps_its_accuracy(self, x):
+        """The tolerance applies to the integral of sin(a_c x g)/x, so it
+        survives the division by x, and a subnormal x does not underflow."""
+        pp = PseudoParams(3.0, 0.3, 1.0)
+        assert abs(weibull_representation(x, pp) - density(x, pp)) <= 1e-10
+        spec = SubordinationSpec(3.0, 0.5, 0.5)
+        want = subordinated_density_series(x, spec, 1.0)
+        assert abs(subordinated_weibull_repr(x, spec, 1.0) - want) <= 1e-10
 
     def test_rejects_x_zero_and_bad_mode(self):
         pp = PseudoParams(2.0, 0.5, 1.0)

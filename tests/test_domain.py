@@ -14,6 +14,8 @@ from fresnelpseudo.special import (
     AiryOrder,
     WrightArgs,
     airy_cdf_tail,
+    airy_grid,
+    airy_quadrature,
     airy_series,
     stable_subordinator_pdf,
     wright_series,
@@ -50,6 +52,11 @@ CALLS = {
     "WrightArgs z=nan": lambda: wright_series(WrightArgs(0.5, NAN)),
     "WrightArgs theta=nan": lambda: WrightArgs(NAN, -1.0),
     "airy_cdf_tail alpha=nan": lambda: airy_cdf_tail(0.0, NAN),
+    "airy_cdf_tail c=nan": lambda: airy_cdf_tail(NAN, 3.0),
+    "airy_quadrature x=nan": lambda: airy_quadrature(NAN, 3.0),
+    "airy_grid x=nan": lambda: airy_grid([NAN], 3.0),
+    "box_kernel_integral b=nan": lambda: box_kernel_integral(-1.0, NAN, 3.0, 0.5, 1.0),
+    "box_kernel_integral a=nan": lambda: box_kernel_integral(NAN, 1.0, 3.0, 0.5, 1.0),
     "box_kernel_integral alpha=nan": lambda: box_kernel_integral(-1.0, 1.0, NAN, 0.5, 1.0),
     "box_kernel_integral t=inf": lambda: box_kernel_integral(-INF, INF, 2.0, 0.5, INF),
     "line_total t=nan": lambda: line_total(3.0, 0.5, NAN),

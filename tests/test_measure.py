@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fresnelpseudo import measure
 from fresnelpseudo.density import PseudoParams, density
 from fresnelpseudo.errors import DimensionCap, DomainError, QuadratureFailure
 from fresnelpseudo.measure import (
@@ -51,6 +52,13 @@ class TestTotalMass:
     )
     def test_line_total_is_one(self, alpha, p, t):
         assert line_total(alpha, p, t) == pytest.approx(1.0, abs=1e-8)
+
+    def test_line_total_takes_each_tail_once(self, monkeypatch):
+        calls = []
+        tail = measure.airy_cdf_tail
+        monkeypatch.setattr(measure, "airy_cdf_tail", lambda c, *rest: calls.append(c) or tail(c, *rest))
+        line_total(3.0, 0.4, 1.0)
+        assert sorted(calls) == [-8.0, 8.0]
 
     def test_full_line_cylinders(self):
         one = CylinderEvent((1.0,), ((-INF, INF),))

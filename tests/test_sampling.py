@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special as sp, stats
 
+from fresnelpseudo.density import PseudoParams, char_fn
 from fresnelpseudo.errors import DomainError, UnsupportedExponent
 from fresnelpseudo.sampling import (
     MixtureSpec,
@@ -131,6 +132,37 @@ class TestTransformLoop:
             # attached the other way round) must NOT fit
             flipped = np.max(np.abs(emp - np.conj(want)))
             assert flipped > 10.0 * err
+
+    @staticmethod
+    def _char_fn_over_subordinator(g, alpha, theta, p, t):
+        """int_0^inf char_fn(g; alpha, p, s) h_theta(s, t) ds.  char_fn at
+        time s is cos(w s) + i (2p - 1) sgn(g) sin(w s), w = |g|^alpha
+        (checked below), so the integral is two Fourier integrals of h."""
+        w = abs(g) ** alpha
+        for s in (0.3, 1.7):
+            want = math.cos(w * s) + 1j * (2.0 * p - 1.0) * math.copysign(1.0, g) * math.sin(w * s)
+            assert abs(char_fn(g, PseudoParams(alpha, p, s)) - want) < 1e-14
+        h = lambda s: stable_subordinator_pdf(s, t, theta) if s > 0.0 else 0.0
+        cos_part, _ = integrate.quad(h, 0.0, np.inf, weight="cos", wvar=w)
+        sin_part, _ = integrate.quad(h, 0.0, np.inf, weight="sin", wvar=w)
+        return cos_part + 1j * (2.0 * p - 1.0) * math.copysign(1.0, g) * sin_part
+
+    @pytest.mark.parametrize("alpha,theta", [(3.0, 0.5), (2.0, 0.5)])
+    def test_draws_follow_the_density_not_its_mirror(self, alpha, theta):
+        """Draws at p != 1/2 against the base transform averaged over the
+        subordinator, a route that shares no code with the sampler or
+        subordinated_char_fn; nu = 1 takes the Cauchy-mixture sampler, so
+        the orientation must not change as nu crosses 1."""
+        p, t, n = 0.3, 1.0, 200_000
+        spec = SubordinationSpec(alpha, theta, p)
+        if alpha * theta == 1.0:
+            x = sample_cauchy_mixture(alpha, p, t, n, SeededStream(5, 1))
+        else:
+            x = sample_mixture(MixtureSpec(parameter_map(spec), p, t), n, SeededStream(5, 1))
+        gam = np.array([-0.9, 0.5, 1.3])
+        want = np.array([self._char_fn_over_subordinator(g, alpha, theta, p, t) for g in gam])
+        assert np.max(np.abs(empirical_char_fn(x, gam) - want)) < 4.0 / math.sqrt(n)
+        assert np.max(np.abs(subordinated_char_fn(gam, spec, t) - want)) < 1e-8
 
     def test_empirical_transform_at_zero(self):
         x = sample_cauchy_mixture(2.0, 0.4, 1.0, 1000, SeededStream(0, 0))

@@ -61,7 +61,7 @@ class TestParameterMap:
         pm = parameter_map(SubordinationSpec(3.0, 0.5, 0.5))
         assert isinstance(pm, StableParams)
         assert pm.nu == pytest.approx(1.5, abs=1e-15)
-        assert pm.beta == pytest.approx(1.0, abs=1e-12)
+        assert pm.beta == pytest.approx(-1.0, abs=1e-12)
         assert pm.sigma == pytest.approx(0.793700525984099737376, abs=1e-15)
         assert pm.mu == 0.0
 
@@ -72,13 +72,13 @@ class TestParameterMap:
         assert pm.sigma == pytest.approx(math.cos(math.pi / 4.0) ** 0.5, abs=1e-15)
 
     def test_boundary_asymmetry(self):
-        # tan(0.8 pi) = -tan(0.2 pi), so beta lands exactly on +1
+        # tan(0.8 pi) = -tan(0.2 pi), so beta lands exactly on -1
         pm = parameter_map(SubordinationSpec(4.0, 0.4, 0.8))
         assert pm.nu == pytest.approx(1.6, abs=1e-15)
-        assert pm.beta == 1.0
+        assert pm.beta == -1.0
         # same boundary reached through rounding noise must clamp, not raise
         pm2 = parameter_map(SubordinationSpec(1.5, 0.8, 0.3))
-        assert pm2.beta == 1.0
+        assert pm2.beta == -1.0
 
     @pytest.mark.parametrize("alpha,theta", [(2.0, 0.5), (3.0, 1.0 / 3.0), (4.0, 0.25)])
     def test_unit_index_is_cauchy(self, alpha, theta):
