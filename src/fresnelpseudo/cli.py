@@ -30,6 +30,7 @@ from .errors import (
     DomainError,
     FresnelPseudoError,
     InvalidRegime,
+    NonConvergent,
     UnsupportedClosedForm,
     UnsupportedExponent,
 )
@@ -181,6 +182,17 @@ def _write_header(fh, command, pairs):
         fh.write(f"# {key}={val}\n")
 
 
+def _subordinated_value(x, spec, t, tol):
+    """The p = 1/2, nu > 1 series where it converges, else the direct
+    integral (which also takes the points where the series refuses)."""
+    if spec.p == 0.5 and spec.nu > 1.0:
+        try:
+            return subordinated_density_series(x, spec, t, tol)
+        except NonConvergent:
+            pass
+    return subordinated_density_quadrature(x, spec, t, max(tol, 1e-9))
+
+
 def cmd_eval(args, config):
     fn = _resolve(args, config, "fn", str, required=True)
     if fn not in ("airy", "density", "mixture", "subordinated"):
@@ -203,14 +215,7 @@ def cmd_eval(args, config):
         values = cauchy_mixture_pdf(xs, alpha, p, t)
     else:
         spec = SubordinationSpec(alpha, theta, p)
-        if p == 0.5 and alpha * theta > 1.0:
-            values = np.array(
-                [subordinated_density_series(x, spec, t, tol) for x in xs]
-            )
-        else:
-            values = np.array(
-                [subordinated_density_quadrature(x, spec, t, max(tol, 1e-9)) for x in xs]
-            )
+        values = np.array([_subordinated_value(x, spec, t, tol) for x in xs])
 
     pairs = [("fn", fn), ("alpha", repr(alpha)), ("p", repr(p)), ("t", repr(t))]
     if fn == "subordinated":

@@ -34,7 +34,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DomainError, NonConvergent, UnsupportedClosedForm, check_params
-from .special import AiryOrder, airy_grid, airy_point, airy_quadrature, airy_series
+from .special import AiryOrder, airy_grid, airy_quadrature, airy_series
 
 _METHODS = ("auto", "series", "airy", "closed_form")
 
@@ -79,6 +79,17 @@ def _closed_form(x, t):
     return np.cos(x * x / (4.0 * t) - math.pi / 4.0) / (2.0 * math.sqrt(math.pi * t))
 
 
+def _signed_kernel(y, params, tol):
+    """u(y, t) over an array y of any shape: two airy_grid calls, at -y/lam
+    and y/lam.  The one kernel evaluator behind density(method="auto")
+    and every cylinder measure."""
+    lam = params.lam
+    y = np.asarray(y, dtype=float) / lam
+    neg = airy_grid(-y, params.alpha, tol)
+    pos = airy_grid(y, params.alpha, tol)
+    return (params.p * neg + (1.0 - params.p) * pos) / lam
+
+
 def density(x, params, method="auto", tol=1e-10):
     """Pseudo-density u(x, t) at one point or over an array.
 
@@ -86,9 +97,10 @@ def density(x, params, method="auto", tol=1e-10):
         x: real point(s).
         params: PseudoParams.
         method: "auto" picks the closed form when it exists and
-            otherwise mixes series (inside its certified float64 range)
-            with quadrature; "series", "airy" (oscillatory quadrature)
-            and "closed_form" force a single route.
+            otherwise evaluates every point through airy_grid (float64
+            series inside its certified range, the batched contour rule
+            beyond); "series", "airy" (contour quadrature) and
+            "closed_form" force a single route, point by point.
         tol: absolute tolerance passed to the kernel evaluations.
 
     Raises:
@@ -109,24 +121,14 @@ def density(x, params, method="auto", tol=1e-10):
         out = _closed_form(xs, params.t)
         return float(out[0]) if scalar else out
 
-    lam = params.lam
-    order = AiryOrder(params.alpha)
-    if method == "series":
-        kernel = lambda y: airy_series(y, order, tol)
-    elif method == "airy":
-        kernel = lambda y: airy_quadrature(y, order, tol)
+    if method == "auto":
+        out = _signed_kernel(xs, params, tol)
     else:
-        kernel = lambda y: airy_point(y, params.alpha, tol)
-
-    if method == "auto" and xs.size > 4:
-        neg = airy_grid(-xs / lam, params.alpha, tol)
-        pos = airy_grid(xs / lam, params.alpha, tol)
-        out = (params.p * neg + (1.0 - params.p) * pos) / lam
-    else:
+        route = airy_series if method == "series" else airy_quadrature
+        order, lam, p = AiryOrder(params.alpha), params.lam, params.p
         out = np.array(
             [
-                (params.p * kernel(-xi / lam) + (1.0 - params.p) * kernel(xi / lam))
-                / lam
+                (p * route(-xi / lam, order, tol) + (1.0 - p) * route(xi / lam, order, tol)) / lam
                 for xi in xs
             ]
         )

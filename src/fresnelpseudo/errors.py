@@ -6,6 +6,7 @@ failures from programming errors.
 """
 
 import math
+import numbers
 
 
 class FresnelPseudoError(Exception):
@@ -17,7 +18,7 @@ class DomainError(FresnelPseudoError, ValueError):
 
 
 def check_params(
-    alpha=None, p=None, t=None, theta=None, tol=None, nu=None, sigma=None, beta=None
+    alpha=None, p=None, t=None, theta=None, tol=None, nu=None, sigma=None, beta=None, n=None
 ):
     """Raise DomainError unless each given parameter lies in its range;
     the chained comparisons are false for NaN, and inf is excluded."""
@@ -37,6 +38,8 @@ def check_params(
         raise DomainError(f"scale must be positive, got {sigma}")
     if beta is not None and not -1.0 <= beta <= 1.0:
         raise DomainError(f"asymmetry must lie in [-1, 1], got {beta}")
+    if n is not None and not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DomainError(f"n must be a positive integer, got {n}")
 
 
 class NonConvergent(FresnelPseudoError, ArithmeticError):
@@ -45,10 +48,6 @@ class NonConvergent(FresnelPseudoError, ArithmeticError):
 
 class UnsupportedClosedForm(FresnelPseudoError, ValueError):
     """A closed-form evaluation was requested outside the parameters that have one."""
-
-
-class DimensionCap(FresnelPseudoError, ValueError):
-    """A cylinder event exceeds the supported number of time points."""
 
 
 class QuadratureFailure(FresnelPseudoError, ArithmeticError):

@@ -21,10 +21,16 @@ Evaluation strategy
 * Trailing full-line boxes are stripped first; each contributes the
   numerically computed total mass of its increment (close to 1, never
   assumed to be 1).
-* Finite levels use phase-resolving Gauss-Legendre panels, vectorized
-  through the kernel's grid evaluator; the innermost integral is
-  tabulated on a dense grid of the previous level's box and
-  interpolated with a cubic spline before the outer tensor sum.
+* One loop handles any number of levels (the Nystrom view of the
+  iterated integral as a chain of integral operators).  Each outer
+  level uses phase-resolving Gauss-Legendre panels; a vector of
+  weighted kernel values is carried from level to level through the
+  matrices u(nodes_i - nodes_{i-1}, t_i - t_{i-1}), each from one call
+  of the kernel evaluator of density.py.
+* The innermost integral is taken at the origin for a one-level event;
+  for a deeper one it is tabulated on a dense grid of the previous
+  level's box and interpolated with a cubic spline at that level's
+  nodes.
 """
 
 from __future__ import annotations
@@ -35,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DimensionCap, DomainError, QuadratureFailure, check_params
-from .special import airy_cdf_tail, airy_grid
+from .density import PseudoParams, _signed_kernel
+from .errors import DomainError, QuadratureFailure, check_params
+from .special import airy_cdf_tail
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _MAX_PANELS_PER_LEVEL = 4000
@@ -74,21 +81,6 @@ class CylinderEvent:
                 raise DomainError(f"box ({a}, {b}) must satisfy low < high")
 
 
-def _lam(alpha, t):
-    return (alpha * t) ** (1.0 / alpha)
-
-
-def _kernel_grid(y, alpha, p, t, tol):
-    """Vectorized kernel u(y, t) over an array of displacements."""
-    lam = _lam(alpha, t)
-    y = np.asarray(y, dtype=float)
-    flat = y.reshape(-1)
-    stacked = np.concatenate([-flat, flat]) / lam
-    vals = airy_grid(stacked, alpha, tol)
-    neg, pos = vals[: flat.size], vals[flat.size :]
-    return ((p * neg + (1.0 - p) * pos) / lam).reshape(y.shape)
-
-
 def _panel_nodes(a, b, alpha, lam):
     """Gauss-Legendre nodes/weights on phase-resolving panels of [a, b]."""
     edges = [a]
@@ -114,10 +106,10 @@ def _panel_nodes(a, b, alpha, lam):
 def box_kernel_integral(a, b, alpha, p, t, tol=1e-10):
     """int_a^b u(y, t) dy through the kernel tail identity; either
     endpoint may be infinite, neither may be NaN."""
-    check_params(alpha=alpha, p=p, t=t, tol=tol)
+    check_params(tol=tol)
     if math.isnan(a) or math.isnan(b):
         raise DomainError(f"box edges must not be NaN, got ({a}, {b})")
-    lam = _lam(alpha, t)
+    lam = PseudoParams(alpha, p, t).lam
 
     def tail(c):
         # int_c^inf Ai_alpha, with the infinite-endpoint conventions
@@ -135,11 +127,12 @@ def box_kernel_integral(a, b, alpha, p, t, tol=1e-10):
 def line_total(alpha, p, t, tol=1e-9):
     """Total mass int_R u(y, t) dy, computed (not assumed): panelized
     quadrature on the central eight scale lengths plus tail integrals."""
-    check_params(alpha=alpha, p=p, t=t, tol=tol)
-    lam = _lam(alpha, t)
+    check_params(tol=tol)
+    params = PseudoParams(alpha, p, t)
+    lam = params.lam
     cut = 8.0 * lam
     nodes, weights = _panel_nodes(-cut, cut, alpha, lam)
-    core = float(np.dot(weights, _kernel_grid(nodes, alpha, p, t, tol)))
+    core = float(np.dot(weights, _signed_kernel(nodes, params, tol)))
     tail_neg = airy_cdf_tail(-cut / lam, alpha, tol)
     tail_pos = airy_cdf_tail(cut / lam, alpha, tol)
     upper = p * (1.0 - tail_neg) + (1.0 - p) * tail_pos
@@ -155,26 +148,33 @@ def _has_infinite_end(box):
     return not (math.isfinite(box[0]) and math.isfinite(box[1]))
 
 
+def _box_integrals(box, params, origins, tol):
+    """int_box u(x - o, t) dx for each origin o: the tail identity per
+    origin when an end is infinite, else the panel rule times the kernel
+    matrix."""
+    a, b = box
+    if _has_infinite_end(box):
+        return np.array(
+            [box_kernel_integral(a - o, b - o, params.alpha, params.p, params.t, tol) for o in origins]
+        )
+    nodes, weights = _panel_nodes(a, b, params.alpha, params.lam)
+    return _signed_kernel(nodes[None, :] - origins[:, None], params, tol) @ weights
+
+
 def cylinder_measure(event, alpha, p, tol=1e-9):
     """Signed measure of a cylinder event at order alpha, weight p.
 
     Args:
-        event: CylinderEvent (up to three times).
+        event: CylinderEvent (any number of times).
         alpha: kernel order, > 1.
         p: branch weight in [0, 1].
         tol: kernel evaluation tolerance.
 
     Raises:
-        DimensionCap: more than three times.
         QuadratureFailure: an unbounded box anywhere except the
             innermost level (or a box too wide to panelize).
     """
     check_params(alpha=alpha, p=p, tol=tol)
-    if len(event.times) > 3:
-        raise DimensionCap(
-            f"cylinder measures support at most 3 times, got {len(event.times)}"
-        )
-
     increments = [
         t2 - t1 for t1, t2 in zip((0.0,) + event.times[:-1], event.times)
     ]
@@ -196,49 +196,18 @@ def cylinder_measure(event, alpha, p, tol=1e-9):
                 "level supports infinite endpoints"
             )
 
-    r = len(boxes)
-    dts = increments[:r]
-
-    if r == 1:
-        a, b = boxes[0]
-        if _has_infinite_end(boxes[0]):
-            return factor * box_kernel_integral(a, b, alpha, p, dts[0], tol)
-        lam = _lam(alpha, dts[0])
-        nodes, weights = _panel_nodes(a, b, alpha, lam)
-        return factor * float(np.dot(weights, _kernel_grid(nodes, alpha, p, dts[0], tol)))
-
-    # innermost integral tabulated over the previous level's box
-    prev_a, prev_b = boxes[r - 2]
-    grid = np.linspace(prev_a, prev_b, _SPLINE_POINTS)
-    inner_a, inner_b = boxes[r - 1]
-    if _has_infinite_end(boxes[r - 1]):
-        inner_vals = np.array(
-            [
-                box_kernel_integral(inner_a - x, inner_b - x, alpha, p, dts[r - 1], tol)
-                for x in grid
-            ]
-        )
+    levels = [PseudoParams(alpha, p, dt) for dt in increments[: len(boxes)]]
+    # weighted[j]: the outer levels' integral up to the node prev[j],
+    # times its quadrature weight, carried through kernel matrices
+    weighted, prev = np.ones(1), np.zeros(1)
+    for box, params in zip(boxes[:-1], levels):
+        nodes, weights = _panel_nodes(*box, alpha, params.lam)
+        weighted = (weighted @ _signed_kernel(nodes[None, :] - prev[:, None], params, tol)) * weights
+        prev = nodes
+    if len(boxes) == 1:
+        inner = _box_integrals(boxes[-1], levels[-1], prev, tol)
     else:
-        lam_in = _lam(alpha, dts[r - 1])
-        nodes_in, weights_in = _panel_nodes(inner_a, inner_b, alpha, lam_in)
-        disp = nodes_in[None, :] - grid[:, None]
-        inner_vals = _kernel_grid(disp, alpha, p, dts[r - 1], tol) @ weights_in
-    inner_fn = CubicSpline(grid, inner_vals)
-
-    if r == 2:
-        lam1 = _lam(alpha, dts[0])
-        nodes1, weights1 = _panel_nodes(*boxes[0], alpha, lam1)
-        vals1 = _kernel_grid(nodes1, alpha, p, dts[0], tol)
-        return factor * float(np.dot(weights1, vals1 * inner_fn(nodes1)))
-
-    # r == 3
-    lam1 = _lam(alpha, dts[0])
-    lam2 = _lam(alpha, dts[1])
-    nodes1, weights1 = _panel_nodes(*boxes[0], alpha, lam1)
-    nodes2, weights2 = _panel_nodes(*boxes[1], alpha, lam2)
-    vals1 = _kernel_grid(nodes1, alpha, p, dts[0], tol)
-    disp12 = nodes2[None, :] - nodes1[:, None]
-    vals12 = _kernel_grid(disp12, alpha, p, dts[1], tol)
-    inner2 = inner_fn(nodes2)
-    middle = vals12 @ (weights2 * inner2)
-    return factor * float(np.dot(weights1, vals1 * middle))
+        # innermost integral tabulated over the previous level's box
+        grid = np.linspace(*boxes[-2], _SPLINE_POINTS)
+        inner = CubicSpline(grid, _box_integrals(boxes[-1], levels[-1], grid, tol))(prev)
+    return factor * float(weighted @ inner)

@@ -87,9 +87,7 @@ def _stable_draws(params, t, n, gen):
 def sample_stable(params, t, n, rng):
     """n draws of the stable law at time t, bit-reproducible from rng."""
     _validate_stable(params)
-    check_params(t=t)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    check_params(t=t, n=n)
     return _stable_draws(params, t, int(n), rng.generator())
 
 
@@ -100,8 +98,7 @@ def sample_mixture(spec, n, rng):
     component first, so a (seed, stream_id) pair fixes the output.
     """
     _validate_stable(spec.stable)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    check_params(n=n)
     gen = rng.generator()
     h = _stable_draws(spec.stable, spec.t, int(n), gen)
     signs = np.where(gen.random(int(n)) < spec.p, 1.0, -1.0)
@@ -112,9 +109,7 @@ def sample_cauchy_mixture(alpha, p, t, n, rng):
     """Draws from the closed-form unit-index regime: a two-component
     Cauchy mixture with location +/- t sin(pi/2a), scale t cos(pi/2a),
     weight p on the positive-location component."""
-    check_params(alpha=alpha, p=p, t=t)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    check_params(alpha=alpha, p=p, t=t, n=n)
     half = math.pi / (2.0 * alpha)
     loc = t * math.sin(half)
     sc = t * math.cos(half)

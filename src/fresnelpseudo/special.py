@@ -19,10 +19,14 @@ Numerical notes
   x = 4 the largest Airy term is ~1e8 while the sum is O(1)), so the
   float64 fsum is accepted only when the largest term's rounding stays
   below the tolerance; otherwise the sum is redone in mpmath at digits
-  sized from that term.  Past ~200 digits, or the 10001-term cap, it
+  sized from that term.  That rounding is taken as
+  max(5e-14, 8 ulp * lgamma(k + 2)) relative at the peak index k: a
+  term rebuilt from its log-magnitude inherits a few ulps of the log,
+  so a flat bound would understate it near order 1, where the peak
+  lies past k ~ 100.  Past ~200 digits, or the 10001-term cap, it
   refuses (NonConvergent) instead of silently degrading; callers fall
   back to airy_quadrature, which has no such range limit.
-* The truncation scan _scan_terms evaluates log|term_k| on a prefix
+* The truncation scan _scan_peak evaluates log|term_k| on a prefix
   k < n, n = 64, 512, 4096, then the cap of 10001 indices, and stops at
   the first prefix that holds an index past its peak whose value is
   below the cutoff.  The result is exact, not a heuristic: each
@@ -73,9 +77,6 @@ from .errors import DomainError, NonConvergent, check_params
 
 _SERIES_CAP = 10000  # iteration cap shared by all series in this module
 _MP_DPS_CAP = 200  # refuse beyond this working precision
-# float64 pass accepted when largest |term| * this <= tol/2 (per-term
-# rounding of products/powers; summation itself uses math.fsum).
-_F64_TERM_RELERR = 5e-14
 
 
 @dataclass(frozen=True)
@@ -138,24 +139,40 @@ def _term_prefixes(logmag):
     yield logmag(np.arange(_SERIES_CAP + 1, dtype=float))
 
 
-def _scan_terms(logmag, cutoff_log):
+def _scan_peak(logmag, cutoff_log):
     """Truncation scan of a series from its term log-magnitudes.
 
     logmag maps an index array k to log|term_k| elementwise.  Returns
-    (K, peak_log): K is the first index past the peak where
-    log|term| < cutoff_log, peak_log the peak log magnitude; None when
-    no such index lies within _SERIES_CAP (the caller raises
-    NonConvergent).  The scan grows its prefix lazily; every logmag of
-    this module is strictly concave in k, so once a value past the
-    prefix's peak is below the cutoff the sequence keeps falling and
-    the answer is the one a scan out to the cap would give.
+    (K, peak, peak_log): K is the first index past the peak where
+    log|term| < cutoff_log, peak the index of the peak log magnitude
+    peak_log; None when no such K lies within _SERIES_CAP (the caller
+    raises NonConvergent).  The scan grows its prefix lazily; every
+    logmag of this module is strictly concave in k, so once a value
+    past the prefix's peak is below the cutoff the sequence keeps
+    falling and the answer is the one a scan out to the cap would give.
     """
     for vals in _term_prefixes(logmag):
         peak = int(np.argmax(vals))
         below = np.flatnonzero(vals[peak + 1 :] < cutoff_log)
         if below.size:
-            return peak + 1 + int(below[0]), float(vals[peak])
+            return peak + 1 + int(below[0]), peak, float(vals[peak])
     return None
+
+
+def _scan_terms(logmag, cutoff_log):
+    """(K, peak_log) of _scan_peak, or None."""
+    found = _scan_peak(logmag, cutoff_log)
+    return found and (found[0], found[2])
+
+
+def _f64_relerr(peak):
+    """Relative float64 rounding assumed for the terms around index peak;
+    a float64 pass is accepted when the peak term times this stays below
+    tol/2 (the summation itself is exact, math.fsum).  The products and
+    powers of a term carry a few ulps, and a term built from its
+    log-magnitude (the grid series, or an overflow rebuild) a few ulps
+    of that log, which grows like lgamma(peak + 2)."""
+    return max(5e-14, 8.0 * 2.0**-52 * math.lgamma(peak + 2.0))
 
 
 def _rebuild_overflowed(terms, small, logmag, signed_unit):
@@ -189,21 +206,21 @@ def _airy_term_logs(k, x, alpha):
 def _certified_sum(logmag, cutoff_log, log_pref, tol, f64_terms, mp_terms, what):
     """Sum of a series (to be scaled by exp(log_pref)), certified to tol.
 
-    Truncates by _scan_terms(logmag, cutoff_log).  If the peak term's
-    float64 rounding times the prefactor stays below tol/2, sums
-    f64_terms(k) -> (terms, small, signed_unit) on k = 0..K with
-    math.fsum after _rebuild_overflowed; else sums the terms k = 0..K
-    that the generator mp_terms(K) yields (it converts its float
-    arguments to mpf once per sum, not per term) in mpmath at digits
-    sized from the peak-to-tol ratio.  Raises NonConvergent, naming the
-    series by what() (formatted only then), at the term cap or past
-    _MP_DPS_CAP.
+    Truncates by _scan_peak(logmag, cutoff_log).  If the peak term's
+    float64 rounding (_f64_relerr) times the prefactor stays below
+    tol/2, sums f64_terms(k) -> (terms, small, signed_unit) on
+    k = 0..K with math.fsum after _rebuild_overflowed; else sums the
+    terms k = 0..K that the generator mp_terms(K) yields (it converts
+    its float arguments to mpf once per sum, not per term) in mpmath at
+    digits sized from the peak-to-tol ratio.  Raises NonConvergent,
+    naming the series by what() (formatted only then), at the term cap
+    or past _MP_DPS_CAP.
     """
-    found = _scan_terms(logmag, cutoff_log)
+    found = _scan_peak(logmag, cutoff_log)
     if found is None:
         raise NonConvergent(f"{what()}: terms fail to decay within {_SERIES_CAP} terms")
-    K, peak_log = found
-    if log_pref + peak_log + math.log(_F64_TERM_RELERR) <= math.log(tol / 2.0):
+    K, peak, peak_log = found
+    if log_pref + peak_log + math.log(_f64_relerr(peak)) <= math.log(tol / 2.0):
         with np.errstate(over="ignore", invalid="ignore"):
             terms, small, signed_unit = f64_terms(np.arange(K + 1, dtype=float))
         return math.fsum(_rebuild_overflowed(terms, small, logmag, signed_unit).tolist())
@@ -267,26 +284,27 @@ def series_float64_range(alpha, tol=1e-10):
     """Largest |x| the float64 series pass can certify at tolerance tol.
 
     This is the operational working-range bound: beyond it airy_series
-    escalates to extended precision and pointwise auto-selection
-    switches to quadrature instead.
+    escalates to extended precision and airy_grid switches to the
+    contour rule instead.
     """
     alpha = float(alpha)
-    pref = _airy_prefactor(alpha)
-    gate = math.log((tol / 2.0) / (_F64_TERM_RELERR * pref))
+    gate = math.log((tol / 2.0) / _airy_prefactor(alpha))
 
-    def peak_log(x):
-        # the largest log-magnitude is final once the prefix falls at its end
+    def rounding_log(x):
+        # log of the peak term's rounding; the peak is final once the
+        # prefix falls at its end
         for vals in _term_prefixes(lambda k: _airy_term_logs(k, x, alpha)):
             if vals[-1] < np.max(vals):
                 break
-        return float(np.max(vals))
+        peak = int(np.argmax(vals))
+        return float(vals[peak]) + math.log(_f64_relerr(peak))
 
     lo, hi = 0.5, 1.0
-    while peak_log(hi) < gate and hi < 1e3:
+    while rounding_log(hi) < gate and hi < 1e3:
         lo, hi = hi, hi * 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if peak_log(mid) < gate:
+        if rounding_log(mid) < gate:
             lo = mid
         else:
             hi = mid
@@ -315,13 +333,8 @@ def airy_quadrature(x, order, tol=1e-10):
 
 
 def airy_point(x, alpha, tol=1e-10):
-    """Fast pointwise Ai_a: float64 series inside its certified range,
-    quadrature outside.  Used as the kernel evaluator by the density
-    and measure modules."""
-    x = float(x)
-    if abs(x) <= _f64_range_cached(alpha, tol):
-        return airy_series(x, AiryOrder(alpha), tol)
-    return airy_quadrature(x, AiryOrder(alpha), tol)
+    """Ai_a at one point: the one-point case of airy_grid."""
+    return float(airy_grid([float(x)], alpha, tol)[0])
 
 
 _F64_RANGE_CACHE: dict[tuple[float, float], float] = {}
@@ -335,16 +348,18 @@ def _f64_range_cached(alpha, tol):
 
 
 def airy_grid(xs, alpha, tol=1e-10):
-    """Vectorized Ai_a over an array; series where certified, one batched
-    contour-rule call for the points beyond."""
+    """Vectorized Ai_a over an array of any shape; float64 series inside
+    its certified range, one batched contour-rule call for the points
+    beyond."""
+    check_params(alpha=alpha, tol=tol)
     xs = np.asarray(xs, dtype=float)
+    safe = np.abs(xs) <= _f64_range_cached(alpha, tol)
+    if safe.all():
+        return _airy_grid_series(xs, alpha)
     out = np.empty_like(xs)
-    xmax = _f64_range_cached(alpha, tol)
-    safe = np.abs(xs) <= xmax
-    if np.any(safe):
+    if safe.any():
         out[safe] = _airy_grid_series(xs[safe], alpha)
-    if not np.all(safe):
-        out[~safe] = chirp_integral(alpha, xs[~safe], kind="cos", tol=tol * math.pi) / math.pi
+    out[~safe] = chirp_integral(alpha, xs[~safe], kind="cos", tol=tol * math.pi) / math.pi
     return out
 
 

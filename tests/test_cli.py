@@ -6,6 +6,7 @@ user hits it.  Exit-code wiring for injected failures is tested
 in-process where a real failure is awkward to produce on demand.
 """
 
+import math
 import shutil
 import subprocess
 import sys
@@ -123,6 +124,26 @@ class TestEval:
         assert cli.main(argv) == 0
         rows = parse_rows(capsys.readouterr().out)
         assert len(rows) == 2 and all(np.isfinite(v) for _, v in rows)
+
+    def test_subordinated_falls_back_where_the_series_refuses(self, capsys):
+        """At (3, .5, .5) the p = 1/2 series refuses from |x| ~ 15 on;
+        the CLI takes those points from the direct integral."""
+        from scipy import integrate
+
+        from fresnelpseudo.subordination import SubordinationSpec, subordinated_density_series
+
+        with pytest.raises(NonConvergent):
+            subordinated_density_series(16.0, SubordinationSpec(3.0, 0.5, 0.5), 1.0)
+        argv = ["eval", "--fn", "subordinated", "--alpha", "3", "--theta", "0.5",
+                "--p", "0.5", "--grid=16:16.5:2"]
+        assert cli.main(argv) == 0
+        x, value = parse_rows(capsys.readouterr().out)[0]
+        # cosine-transform inversion of exp(-(i g^3)^(1/2)) at p = 1/2
+        c = s = math.sqrt(0.5)
+        want, _ = integrate.quad(lambda g: math.exp(-c * g**1.5) * math.cos(s * g**1.5),
+                                 0.0, math.inf, weight="cos", wvar=x)
+        assert x == 16.0
+        assert value == pytest.approx(want / math.pi, abs=1e-9)
 
 
 class TestValidate:

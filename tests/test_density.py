@@ -15,7 +15,7 @@ from fresnelpseudo.density import (
     weibull_representation,
 )
 from fresnelpseudo.errors import DomainError, NonConvergent, UnsupportedClosedForm
-from fresnelpseudo.special import airy_cdf_tail
+from fresnelpseudo.special import airy_cdf_tail, series_float64_range
 from fresnelpseudo.subordination import (
     SubordinationSpec,
     subordinated_density_series,
@@ -77,6 +77,17 @@ class TestDensityRoutes:
         au = density(xs, pp, method="auto", tol=1e-10)
         assert np.max(np.abs(se - ai)) < 1e-8
         assert np.max(np.abs(au - se)) < 1e-8
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.25, 2.5, 4.0])
+    def test_auto_matches_series_route_at_every_size(self, alpha):
+        """method="auto" is one batched kernel call at any input size,
+        on both sides of the float64 series range."""
+        pp = PseudoParams(alpha, 0.3, 0.8)
+        xs = pp.lam * 1.1 * series_float64_range(alpha) * np.linspace(-1.0, 1.0, 21)
+        want = density(xs, pp, method="series", tol=1e-10)
+        assert np.max(np.abs(density(xs, pp, tol=1e-10) - want)) < 1e-10
+        scalars = [density(float(x), pp, tol=1e-10) for x in xs]
+        assert np.max(np.abs(np.array(scalars) - want)) < 1e-10
 
     def test_scalar_and_array_forms(self):
         pp = PseudoParams(2.5, 0.4, 1.0)

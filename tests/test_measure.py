@@ -6,7 +6,7 @@ from scipy import integrate
 
 from fresnelpseudo import measure
 from fresnelpseudo.density import PseudoParams, density
-from fresnelpseudo.errors import DimensionCap, DomainError, QuadratureFailure
+from fresnelpseudo.errors import DomainError, QuadratureFailure
 from fresnelpseudo.measure import (
     CylinderEvent,
     box_kernel_integral,
@@ -33,11 +33,6 @@ class TestEventValidation:
             CylinderEvent((1.0,), ((2.0, -1.0),))
         with pytest.raises(DomainError):
             CylinderEvent((1.0,), ((1.0, 1.0),))
-
-    def test_dimension_cap(self):
-        ev = CylinderEvent((0.5, 1.0, 1.5, 2.0), ((-1, 1),) * 4)
-        with pytest.raises(DimensionCap):
-            cylinder_measure(ev, 2.0, 0.5)
 
     def test_unbounded_outer_box_refused(self):
         ev = CylinderEvent((0.5, 1.0), ((0.0, INF), (-1.0, 1.0)))
@@ -149,6 +144,47 @@ class TestMultiTime:
             epsabs=1e-8,
         )
         assert got == pytest.approx(want, abs=5e-7)
+
+    @pytest.mark.parametrize(
+        "alpha,p,inner",
+        [(2.5, 0.3, (-0.2, 1.3)), (3.0, 0.7, (0.4, INF))],
+        ids=["finite", "semi_infinite"],
+    )
+    def test_four_time_against_product_rule(self, alpha, p, inner):
+        """Four levels (no cap on the depth) against a 24-node
+        Gauss-Legendre product rule over the outer boxes; the innermost
+        box is a fourth product factor when finite and the tail identity
+        at the third level's nodes when semi-infinite."""
+        times = (0.5, 1.0, 1.6, 2.2)
+        outer = ((-1.0, 0.5), (-0.5, 1.0), (0.0, 1.5))
+        got = cylinder_measure(CylinderEvent(times, outer + (inner,)), alpha, p)
+
+        dts = np.diff((0.0,) + times)
+        x, w = np.polynomial.legendre.leggauss(24)
+        rules = [(0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w) for a, b in outer]
+        (x1, w1), (x2, w2), (x3, w3) = rules
+
+        def u(y, dt):
+            return density(y, PseudoParams(alpha, p, dt))
+
+        if math.isinf(inner[1]):
+            i4 = np.array(
+                [box_kernel_integral(inner[0] - z, INF, alpha, p, dts[3]) for z in x3]
+            )
+        else:
+            half, mid = 0.5 * (inner[1] - inner[0]), 0.5 * (inner[1] + inner[0])
+            i4 = u(mid + half * x[None, :] - x3[:, None], dts[3]) @ (half * w)
+        want = np.einsum(
+            "i,i,ij,j,jk,k,k->",
+            w1,
+            u(x1, dts[0]),
+            u(x2[None, :] - x1[:, None], dts[1]),
+            w2,
+            u(x3[None, :] - x2[:, None], dts[2]),
+            w3,
+            i4,
+        )
+        assert got == pytest.approx(want, abs=1e-8)
 
 
 class TestBoxKernelIntegral:

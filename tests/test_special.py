@@ -107,6 +107,17 @@ class TestAirySeries:
         with pytest.raises(DomainError):
             airy_series(1.0, AiryOrder(1e308))
 
+    @pytest.mark.parametrize("alpha", [1.05, 1.0625, 1.1, 1.2, 1.25])
+    def test_both_float64_routes_within_tol_across_range(self, alpha):
+        """Near order 1 the peak term sits past k ~ 100, where a term
+        rebuilt from its log-magnitude carries a few ulps of that log;
+        the float64 gate must cover it on the whole certified range."""
+        xs = np.linspace(-1.0, 1.0, 41) * series_float64_range(alpha)
+        ref = np.array([airy_series(float(x), AiryOrder(alpha), 1e-15) for x in xs])
+        series = np.array([airy_series(float(x), AiryOrder(alpha), 1e-10) for x in xs])
+        assert np.max(np.abs(series - ref)) < 1e-10
+        assert np.max(np.abs(airy_grid(xs, alpha, 1e-10) - ref)) < 1e-10
+
 
 class TestAiryQuadrature:
     @pytest.mark.parametrize("x", [-5.0, -1.0, 0.0, 0.5, 2.0, 4.0])
