@@ -43,7 +43,7 @@ from scipy.interpolate import CubicSpline
 
 from .density import PseudoParams, _signed_kernel
 from .errors import DomainError, QuadratureFailure, check_params
-from .special import airy_cdf_tail
+from .special import airy_cdf_tail, airy_grid
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _MAX_PANELS_PER_LEVEL = 4000
@@ -82,13 +82,27 @@ class CylinderEvent:
 
 
 def _panel_nodes(a, b, alpha, lam):
-    """Gauss-Legendre nodes/weights on phase-resolving panels of [a, b]."""
+    """Gauss-Legendre nodes/weights on phase-resolving panels of [a, b].
+
+    A panel [x, x + h] spans half a period of its fastest oscillation:
+    h (s(max(|x|, |x + h|)) + 1/lam) = pi, with the local speed
+    s(u) = (u/lam)**(1/(alpha-1)) / lam.  When the far edge is the
+    faster one the equation is convex in h, and Newton steps from the
+    near edge's width approach its root from above.
+    """
+    k = 1.0 / (alpha - 1.0)
     edges = [a]
     x = a
     while x < b:
-        speed = (abs(x) / lam) ** (1.0 / (alpha - 1.0)) / lam
-        h = math.pi / (speed + 1.0 / lam)
-        x = min(x + max(h, 1e-3 * lam), b)
+        y = x / lam
+        h = math.pi / (abs(y) ** k + 1.0)  # in units of lam
+        while y + h > abs(y):
+            far = (y + h) ** k
+            step = (h * (far + 1.0) - math.pi) / (far + 1.0 + k * h * far / (y + h))
+            h -= step
+            if step <= 1e-3 * h:
+                break
+        x = min(x + h * lam, b)
         edges.append(x)
         if len(edges) > _MAX_PANELS_PER_LEVEL:
             raise QuadratureFailure(
@@ -125,19 +139,17 @@ def box_kernel_integral(a, b, alpha, p, t, tol=1e-10):
 
 
 def line_total(alpha, p, t, tol=1e-9):
-    """Total mass int_R u(y, t) dy, computed (not assumed): panelized
-    quadrature on the central eight scale lengths plus tail integrals."""
-    check_params(tol=tol)
-    params = PseudoParams(alpha, p, t)
-    lam = params.lam
-    cut = 8.0 * lam
-    nodes, weights = _panel_nodes(-cut, cut, alpha, lam)
-    core = float(np.dot(weights, _signed_kernel(nodes, params, tol)))
-    tail_neg = airy_cdf_tail(-cut / lam, alpha, tol)
-    tail_pos = airy_cdf_tail(cut / lam, alpha, tol)
-    upper = p * (1.0 - tail_neg) + (1.0 - p) * tail_pos
-    lower = p * tail_pos + (1.0 - p) * (1.0 - tail_neg)
-    return core + upper + lower
+    """Total mass int_R u(y, t) dy, computed (not assumed).
+
+    Both branches integrate to int_R Ai_alpha, whatever p and t, so the
+    total is 1 - T(-8) + int_{-8}^0 Ai_alpha + T(0) with T the tail
+    integral: panelized quadrature over the oscillating half of the
+    central eight scale lengths plus two tails.
+    """
+    check_params(alpha=alpha, p=p, t=t, tol=tol)
+    nodes, weights = _panel_nodes(-8.0, 0.0, alpha, 1.0)
+    core = float(np.dot(weights, airy_grid(nodes, alpha, tol)))
+    return 1.0 - airy_cdf_tail(-8.0, alpha, tol) + core + airy_cdf_tail(0.0, alpha, tol)
 
 
 def _is_full_line(box):

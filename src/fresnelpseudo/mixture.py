@@ -19,10 +19,11 @@ modality can be decided exactly:
     stationary inflection exactly at the critical order
     pi / (2 arccos(1/sqrt 3)).
 
-classify() works for every admissible (alpha, p, t) by locating the
-real roots of N numerically and probing the sign of f' on both sides
-of each root; the closed-form routines above double-check it where
-they apply.
+classify() works for every admissible (alpha, p, t) with one rule for
+roots and one for labels: the real roots of N (a cluster of them taken
+as one multiple root), each labeled by the sign changes of N, which is
+the sign of f', between it and its neighbours.  The closed-form
+routines above double-check it where they apply.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import DomainError, RootFindingFailure, check_params
 
 _CLUSTER_REL = 1e-5  # merge numerically split multiple roots
-_CURVATURE_GATE = 1e-8  # |f''| below this (relative) falls back to sign probes
+_SIGN_CHANGE_KIND = {(1.0, -1.0): "maximum", (-1.0, 1.0): "minimum"}  # sign of f' left, right
 
 
 def cauchy_mixture_pdf(x, alpha, p, t):
@@ -83,19 +84,6 @@ def pdf_derivative(x, alpha, p, t):
     den = x**4 + t**4 + 2.0 * big_c * x**2 * t**2
     out = (2.0 * t * c / math.pi) * n / den**2
     return float(out) if out.ndim == 0 else out
-
-
-def _second_derivative(x, alpha, p, t):
-    # f'' = (2tc/pi) (N' D - 2 N D') / D^3
-    c = math.cos(math.pi / (2.0 * alpha))
-    big_c = math.cos(math.pi / alpha)
-    coef = _quintic_coeffs(alpha, p, t)
-    dcoef = np.polyder(coef)
-    n = np.polyval(coef, x)
-    np_ = np.polyval(dcoef, x)
-    den = x**4 + t**4 + 2.0 * big_c * x**2 * t**2
-    dden = 4.0 * x**3 + 4.0 * big_c * x * t**2
-    return (2.0 * t * c / math.pi) * (np_ * den - 2.0 * n * dden) / den**3
 
 
 @dataclass(frozen=True)
@@ -149,58 +137,30 @@ def second_derivative_at_stationary(alpha, t):
     return (3.0 * c**2 - 1.0) / (2.0 * math.pi * t**3 * c * s**4)
 
 
-def _polish_root(coef, dcoef, x0, t):
-    """Newton on the quintic, falling back to the derivative's root for
-    (near-)multiple roots where plain Newton stalls."""
-    scale = max(abs(x0), t) ** 5
-    x = x0
-    for _ in range(100):
-        n = np.polyval(coef, x)
-        dn = np.polyval(dcoef, x)
-        if abs(dn) < 1e-9 * max(abs(x), t) ** 4:
-            break  # multiple root: Newton step would blow up
-        step = n / dn
-        x -= step
-        if abs(step) <= 1e-15 * max(abs(x), t):
-            return x
-    # treat as root of the derivative (double root of the quintic)
-    d2coef = np.polyder(dcoef)
-    y = x0
-    for _ in range(100):
-        dn = np.polyval(dcoef, y)
-        d2 = np.polyval(d2coef, y)
-        if d2 == 0.0:
-            break
-        step = dn / d2
-        y -= step
-        if abs(step) <= 1e-15 * max(abs(y), t):
-            if abs(np.polyval(coef, y)) <= 1e-7 * scale:
-                return y
-            break
-    if abs(np.polyval(coef, x)) <= 1e-9 * scale:
-        return x
-    raise RootFindingFailure(f"stationary-point polish failed near x = {x0}")
-
-
 def classify(alpha, p, t):
     """Locate and label every stationary point of the closed-form
     density, then name the overall shape.
 
-    Roots of the derivative's numerator come from the companion matrix
-    and are polished by Newton iteration.  Each stationary point is
-    labeled by the curvature when it is decisively nonzero, and by the
-    sign of f' on both sides otherwise, which distinguishes a flat
-    maximum (order three zero, as at alpha = 3) from a stationary
-    inflection (order two zero, as at the critical order).
+    The stationary points are the real roots of the numerator quintic N
+    of f', taken from the companion matrix (a conjugate pair within
+    1e-4, relative, of the axis counts as real).  Roots within a
+    relative 1e-5 of each other are one multiple root, split by
+    rounding, and are replaced by their centroid; a single root is
+    polished by at most three Newton steps, each kept only while it
+    shrinks |N|.  f' has the sign of N, so each point is
+    labeled by the sign of N halfway to its neighbours (one t beyond
+    the outermost points): + then - is a maximum, - then + a minimum,
+    no change an inflection.  The one rule covers the flat maximum at
+    alpha = 3 (an order-three zero) and the stationary inflection at
+    the critical order (an order-two zero).
     """
     check_params(alpha=alpha, p=p, t=t)
     coef = _quintic_coeffs(alpha, p, t)
     dcoef = np.polyder(coef)
     raw = np.roots(coef)
-    real = [z.real for z in raw if abs(z.imag) <= 1e-4 * max(abs(z), t)]
+    real = sorted(z.real for z in raw if abs(z.imag) <= 1e-4 * max(abs(z), t))
     if not real:
         raise RootFindingFailure("no real stationary point found")
-    real.sort()
     clusters = [[real[0]]]
     for r in real[1:]:
         if r - clusters[-1][-1] <= _CLUSTER_REL * max(t, abs(r)):
@@ -209,33 +169,31 @@ def classify(alpha, p, t):
             clusters.append([r])
     points = []
     for group in clusters:
-        points.append(_polish_root(coef, dcoef, float(np.mean(group)), t))
-    # dedup after polishing (two clusters may converge to one root)
-    merged = []
-    for x in sorted(points):
-        if not merged or x - merged[-1] > _CLUSTER_REL * max(t, abs(x)):
-            merged.append(x)
+        x = float(np.mean(group))
+        n = np.polyval(coef, x)
+        for _ in range(3 if len(group) == 1 else 0):
+            dn = np.polyval(dcoef, x)
+            if dn == 0.0:
+                break
+            y = x - n / dn
+            ny = np.polyval(coef, y)
+            if not abs(ny) < abs(n):
+                break  # converged, or overshooting beside a near-multiple root
+            x, n = y, ny
+        bound = (1e-9 if len(group) == 1 else 1e-7) * max(abs(x), t) ** 5
+        if not abs(n) <= bound:
+            raise RootFindingFailure(f"stationary point not resolved near x = {x}")
+        points.append(float(x))
+    points.sort()  # a step may cross a neighbour inside an ill-conditioned cluster
 
-    curvatures = np.array([_second_derivative(x, alpha, p, t) for x in merged])
-    gate = _CURVATURE_GATE * max(np.max(np.abs(curvatures)), 1e-300)
-    spacing = min(
-        (b - a for a, b in zip(merged, merged[1:])), default=t
+    probes = np.concatenate(
+        ([points[0] - t], 0.5 * np.add(points[:-1], points[1:]), [points[-1] + t])
     )
-    delta = max(min(0.45 * spacing, 1e-2 * t), 1e-8 * t)
-    labeled = []
-    for x, curv in zip(merged, curvatures):
-        if abs(curv) > gate:
-            kind = "maximum" if curv < 0.0 else "minimum"
-        else:
-            left = pdf_derivative(x - delta, alpha, p, t)
-            right = pdf_derivative(x + delta, alpha, p, t)
-            if left > 0.0 > right:
-                kind = "maximum"
-            elif left < 0.0 < right:
-                kind = "minimum"
-            else:
-                kind = "inflection"
-        labeled.append(StationaryPoint(location=float(x), kind=kind))
+    signs = np.sign(np.polyval(coef, probes))
+    labeled = [
+        StationaryPoint(location=x, kind=_SIGN_CHANGE_KIND.get((left, right), "inflection"))
+        for x, left, right in zip(points, signs[:-1], signs[1:])
+    ]
 
     kinds = [pt.kind for pt in labeled]
     n_max = kinds.count("maximum")

@@ -43,7 +43,16 @@ class TestEventValidation:
 class TestTotalMass:
     @pytest.mark.parametrize(
         "alpha,p,t",
-        [(2.0, 0.5, 1.0), (2.5, 0.3, 0.6), (3.0, 0.8, 1.5), (1.5, 0.5, 1.0)],
+        [
+            (2.0, 0.5, 1.0),
+            (2.5, 0.3, 0.6),
+            (3.0, 0.8, 1.5),
+            (1.5, 0.5, 1.0),
+            # near order 1 the p-branch speeds up across each panel on
+            # x > 0; panels sized at their left edge gave 1.475 and 2.58
+            (1.25, 0.3, 0.5),
+            (1.25, 1.0, 1.0),
+        ],
     )
     def test_line_total_is_one(self, alpha, p, t):
         assert line_total(alpha, p, t) == pytest.approx(1.0, abs=1e-8)
@@ -53,7 +62,7 @@ class TestTotalMass:
         tail = measure.airy_cdf_tail
         monkeypatch.setattr(measure, "airy_cdf_tail", lambda c, *rest: calls.append(c) or tail(c, *rest))
         line_total(3.0, 0.4, 1.0)
-        assert sorted(calls) == [-8.0, 8.0]
+        assert sorted(calls) == [-8.0, 0.0]
 
     def test_full_line_cylinders(self):
         one = CylinderEvent((1.0,), ((-INF, INF),))
@@ -79,6 +88,15 @@ class TestSingleTime:
             lambda x: density(x, PseudoParams(2.0, 0.5, 1.0)), *box, limit=400, epsabs=1e-12
         )
         assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "alpha,box", [(1.3, (0.5, 4.0)), (1.25, (0.0, 3.0)), (1.4, (0.5, 4.0))]
+    )
+    def test_panels_resolve_the_faster_far_edge(self, alpha, box):
+        # on x > 0 the p-branch speeds up across each panel; sizing it
+        # at its left edge gave 0.190743 for 0.899911 at alpha = 1.3
+        got = cylinder_measure(CylinderEvent((1.0,), (box,)), alpha, 1.0)
+        assert got == pytest.approx(box_kernel_integral(*box, alpha, 1.0, 1.0), abs=1e-8)
 
     def test_negative_boxes_exist_at_order_two(self):
         """The kernel's trough between the first oscillation nodes

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from fresnelpseudo.errors import DomainError
@@ -129,7 +130,7 @@ class TestClassify:
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
     def test_unimodal_at_origin(self, alpha):
         # alpha = 3 is the flat case: the curvature vanishes at the
-        # origin yet the point is a maximum, caught by the sign probes
+        # origin (a triple root of N) yet f' changes sign from + to -
         rep = classify(alpha, 0.5, 1.0)
         assert rep.kind == "Unimodal"
         assert len(rep.stationary_points) == 1
@@ -182,6 +183,24 @@ class TestClassify:
     def test_report_carries_parameters(self):
         rep = classify(2.2, 0.4, 1.3)
         assert rep.parameters_used == (2.2, 0.4, 1.3)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(alpha=st.floats(1.05, 6.0), p=st.floats(0.0, 1.0), t=st.floats(0.2, 5.0))
+    def test_labels_follow_the_sign_of_the_derivative(self, alpha, p, t):
+        points = classify(alpha, p, t).stationary_points
+        xs = [pt.location for pt in points]
+        # a quarter of the way to each neighbour, t beyond the outermost
+        reach = np.diff(xs, prepend=xs[0] - 4.0 * t, append=xs[-1] + 4.0 * t) / 4.0
+        left = pdf_derivative(np.array(xs) - reach[:-1], alpha, p, t)
+        right = pdf_derivative(np.array(xs) + reach[1:], alpha, p, t)
+        want = {"maximum": (1, -1), "minimum": (-1, 1)}
+        for pt, lo, hi in zip(points, np.sign(left), np.sign(right)):
+            assert want.get(pt.kind, (lo, lo)) == (lo, hi)
+        # every root of N lies within 4t (Cauchy's bound at unit time)
+        scan = np.sign(pdf_derivative(np.linspace(-5.0 * t, 5.0 * t, 20001), alpha, p, t))
+        scan = scan[scan != 0.0]
+        n_max = int(np.count_nonzero((scan[:-1] > 0.0) & (scan[1:] < 0.0)))
+        assert [pt.kind for pt in points].count("maximum") == n_max
 
 
 class TestInflectionParameters:
