@@ -70,15 +70,20 @@ _SERIES_W = 0.4
 _SERIES_TERMS = 40
 
 
+def tanh_sinh_rule(n, h):
+    """Nodes u in (0, 1) and weights of the tanh-sinh rule on [0, 1]
+    with step h, t = k h for k = -n..n.  The rule is symmetric, so the
+    node distances to 1 are u[::-1], each to full relative precision."""
+    t = h * np.arange(-n, n + 1)
+    e = np.exp(-math.pi * np.sinh(t))
+    return 1.0 / (1.0 + e), h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2
+
+
 def _tanh_sinh():
     """Nodes u in (0, 1) and weights of the step-1/64 tanh-sinh rule,
     k = -202..202, with the weight columns of the embedded rules."""
-    h = 1.0 / 64.0
+    u, w = tanh_sinh_rule(202, 1.0 / 64.0)
     k = np.arange(-202, 203)
-    t = h * k
-    e = np.exp(-math.pi * np.sinh(t))
-    u = 1.0 / (1.0 + e)
-    w = h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2
     even = k % 2 == 0
     # step 1/32 on the even nodes, with the step-1/16 sum as second column
     coarse = np.stack([2.0 * w[even], np.where(k[even] % 4 == 0, 4.0 * w[even], 0.0)], axis=1)

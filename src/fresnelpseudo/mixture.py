@@ -142,10 +142,11 @@ def classify(alpha, p, t):
     density, then name the overall shape.
 
     The stationary points are the real roots of the numerator quintic N
-    of f', taken from the companion matrix (a conjugate pair within
-    1e-4, relative, of the axis counts as real).  Roots within a
-    relative 1e-5 of each other are one multiple root, split by
-    rounding, and are replaced by their centroid; a single root is
+    of f', taken from the companion matrix.  Roots within a relative
+    1e-5 of each other are one multiple root, split by rounding, and
+    are replaced by their centroid; a conjugate pair counts as real on
+    the same terms (|imag| within half that radius), so a near-double
+    root reads alike on either side of the axis.  A single root is
     polished by at most three Newton steps, each kept only while it
     shrinks |N|.  f' has the sign of N, so each point is
     labeled by the sign of N halfway to its neighbours (one t beyond
@@ -158,7 +159,7 @@ def classify(alpha, p, t):
     coef = _quintic_coeffs(alpha, p, t)
     dcoef = np.polyder(coef)
     raw = np.roots(coef)
-    real = sorted(z.real for z in raw if abs(z.imag) <= 1e-4 * max(abs(z), t))
+    real = sorted(z.real for z in raw if abs(z.imag) <= 0.5 * _CLUSTER_REL * max(abs(z), t))
     if not real:
         raise RootFindingFailure("no real stationary point found")
     clusters = [[real[0]]]

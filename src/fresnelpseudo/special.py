@@ -72,7 +72,7 @@ import mpmath as mp
 import numpy as np
 from scipy import special as sp
 
-from ._quad import chirp_integral
+from ._quad import chirp_integral, tanh_sinh_rule
 from .errors import DomainError, NonConvergent, check_params
 
 _SERIES_CAP = 10000  # iteration cap shared by all series in this module
@@ -454,28 +454,78 @@ def wright_series(args, tol=1e-12):
     return _certified_sum(logmag, cutoff, 0.0, tol, f64_terms, mp_terms, what)
 
 
-# series -> saddle switch for the subordinator density: use the saddle
-# branch once the saddle exponent B exceeds this (keeps the Wright pass
-# below ~35 digits for every theta while the saddle error ~e^-B/B is
-# far below any tolerance used here).
-_SADDLE_MIN_B = 25.0
+# Kanter's integral runs on the step-1/48 tanh-sinh rule, t in [-3.15, 3.15]
+# (303 nodes); below step 1/40 the gap to an mpmath quadrature of the same
+# integral stays within 1e-12 up to theta = 0.99.
+_KANTER_U, _KANTER_W = tanh_sinh_rule(151, 1.0 / 48.0)
+_KANTER_U_BACK = _KANTER_U[::-1].copy()  # node distances to the far end
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _saddle_exponent(y, theta):
-    return (1.0 - theta) * theta ** (theta / (1.0 - theta)) * y ** (1.0 / (1.0 - theta))
+def _kanter_peak(log_u, log_b, theta):
+    """(phi*, pi - phi*) with A(phi*) u = 1, given log(A(0+) u) = log_b < 0.
+
+    Safeguarded Newton steps on log(A u) in z, phi = pi / (1 + e^-z), a
+    variable that keeps both phi and pi - phi to full relative precision
+    (phi* lies within u**(1 - theta) of pi for large y).  The start is
+    the expansion at the nearer end: log A ~ log A(0+) + theta phi**2 / 2
+    at 0, A ~ (sin(pi theta) / (pi - phi))**(1/(1-theta)) at pi.
+    """
+    q, p = theta / (1.0 - theta), 1.0 / (1.0 - theta)
+    lo, hi = -40.0, 745.0  # log(A u) < 0 at lo, > 0 at hi
+    log_d0 = math.log(math.sin(math.pi * theta)) + (1.0 - theta) * log_u
+    if log_d0 < math.log(math.pi / 2.0):
+        z = math.log(math.pi) - log_d0 + math.log1p(-math.exp(log_d0) / math.pi)
+    else:
+        phi0 = min(math.sqrt(-2.0 * log_b / theta), math.pi / 2.0)
+        z = math.log(phi0 / (math.pi - phi0))
+    z = min(max(z, lo), hi)
+    for _ in range(100):
+        e = math.exp(-abs(z))
+        near, far = math.pi * e / (1.0 + e), math.pi / (1.0 + e)
+        phi, delta = (far, near) if z >= 0.0 else (near, far)
+        s_th, s_rest = math.sin(theta * phi), math.sin((1.0 - theta) * phi)
+        g = log_u + q * math.log(s_th / math.sin(near)) + math.log(s_rest / math.sin(near))
+        if g < 0.0:
+            lo = z
+        else:
+            hi = z
+        cot_phi = -1.0 / math.tan(delta) if z >= 0.0 else 1.0 / math.tan(phi)
+        dlog_a = (
+            q * theta * math.cos(theta * phi) / s_th
+            + (1.0 - theta) * math.cos((1.0 - theta) * phi) / s_rest
+            - p * cot_phi
+        )
+        step = g / (dlog_a * phi * delta / math.pi) if dlog_a > 0.0 else math.inf
+        if abs(step) < 1e-9:
+            break
+        z = z - step if lo < z - step < hi else 0.5 * (lo + hi)
+    return phi, delta
 
 
 def stable_subordinator_pdf(x, t, theta):
-    """Density h_theta(x, t) of a one-sided stable subordinator.
+    """Density h_theta(x, t) of a one-sided stable subordinator,
+    E exp(-s X_t) = exp(-t s**theta), from Kanter's integral.
 
-    h_theta(x,t) = theta*t/x**(theta+1) * W_{-theta,1-theta}(-t/x**theta).
+    With y = x t**(-1/theta) and u = y**(-theta/(1-theta)),
 
-    For very small x (saddle exponent B > 25, where h < ~1e-11 relative
-    to scale) the Wright series is replaced by the saddle-point form
-    lam**((2-theta)/2) exp(-B)/sqrt(2 pi t theta (1-theta)),
-    lam = (t*theta/x)**(1/(1-theta)); exact at theta = 1/2, relative
-    error O(1/B) elsewhere -- a stated limitation, negligible at that
-    magnitude.
+        h = theta / ((1-theta) pi x) int_0^pi A(phi) u exp(-A(phi) u) dphi,
+        A(phi) = sin(theta phi)**(theta/(1-theta)) sin((1-theta) phi)
+                 / sin(phi)**(1/(1-theta))
+
+    (Kanter, Ann. Probab. 3, 1975; Zolotarev, One-dimensional Stable
+    Distributions, 1986).  The integrand is positive, so there is no
+    cancellation and no extended precision, and the same rule holds
+    from the far left tail to the power tail.  A increases from
+    A(0+) = (1-theta) theta**(theta/(1-theta)), so the integrand peaks
+    at the phi* where A u = 1, or at phi = 0 when A(0+) u >= 1.
+    [phi*, pi] gets a tanh-sinh rule in pi - phi, each node's sin(phi)
+    taken as the sine of its distance to the nearer end; [0, phi*] gets
+    one in log(pi - phi), over which the power tail of the integrand
+    decays geometrically.  The sum is scaled by the peak value and the
+    result assembled in logs, so it is 0.0 where h underflows and never
+    overflows before h does.  The gap to an mpmath quadrature of the
+    same integral is within about 1e-13 relative up to theta = 0.99.
 
     Raises DomainError unless x > 0, t > 0 is finite and theta lies in
     (0,1).
@@ -483,16 +533,34 @@ def stable_subordinator_pdf(x, t, theta):
     check_params(t=t, theta=theta)
     if not x > 0.0:
         raise DomainError(f"subordinator density defined for x > 0, got {x}")
-    y = t / x**theta
-    b_exp = _saddle_exponent(y, theta)
-    if b_exp > _SADDLE_MIN_B:
-        lam = (t * theta / x) ** (1.0 / (1.0 - theta))
-        return (
-            lam ** ((2.0 - theta) / 2.0)
-            * math.exp(-b_exp)
-            / math.sqrt(2.0 * math.pi * t * theta * (1.0 - theta))
-        )
-    # the Wright value is ~e^{-B}; scale the absolute tolerance so the
-    # result keeps relative accuracy even where cancellation is severe
-    w = wright_series(WrightArgs(theta, -y), tol=min(1e-12, math.exp(-b_exp) * 1e-11))
-    return theta * t / x ** (theta + 1.0) * w
+    if x == math.inf:
+        return 0.0
+    q = theta / (1.0 - theta)
+    log_x = math.log(x)
+    log_u = (math.log(t) - theta * log_x) / (1.0 - theta)
+    log_b = log_u + q * math.log(theta) + math.log1p(-theta)  # log(A(0+) u)
+    if log_b >= 0.0:
+        log_peak = log_b - math.exp(min(log_b, 700.0))
+        if log_peak + math.log(q) - log_x < -750.0:
+            return 0.0  # h <= q e^log_peak / x underflows
+        phi_s, delta_s = 0.0, math.pi
+    else:
+        log_peak = -1.0
+        phi_s, delta_s = _kanter_peak(log_u, log_b, theta)
+    delta = delta_s * _KANTER_U
+    phi = phi_s + delta_s * _KANTER_U_BACK
+    weight = delta_s * _KANTER_W
+    if phi_s > 0.0:
+        big_r = math.log1p(phi_s / delta_s)  # log(pi / delta*)
+        log_d = -big_r * _KANTER_U_BACK  # log(delta / pi)
+        delta_l = math.pi * np.exp(log_d)
+        delta = np.concatenate((delta, delta_l))
+        phi = np.concatenate((phi, -math.pi * np.expm1(log_d)))
+        weight = np.concatenate((weight, big_r * _KANTER_W * delta_l))
+    s = np.sin(np.minimum(phi, delta))
+    with np.errstate(over="ignore", divide="ignore"):
+        log_a = q * np.log(np.sin(theta * phi) / s) + np.log(np.sin((1.0 - theta) * phi) / s)
+    log_v = np.minimum(log_u + log_a, 700.0)
+    total = float(weight @ np.exp(log_v - np.exp(log_v) - log_peak))
+    log_h = math.log(q / math.pi * total) + log_peak - log_x
+    return math.exp(log_h) if log_h < _LOG_FLOAT_MAX else math.inf

@@ -38,7 +38,8 @@ from .errors import DomainError, InvalidRegime, QuadratureFailure, check_params
 from .special import _certified_sum, stable_subordinator_pdf
 
 # skip the subordinator's essentially-zero left tail: below the s where
-# its saddle exponent reaches this, h < e^-40 * polynomial
+# its exponent B = (1-theta) theta**(theta/(1-theta)) (t/s**theta)**(1/(1-theta))
+# reaches this, h < e^-B * polynomial
 _TAIL_B = 40.0
 
 
@@ -179,7 +180,7 @@ def subordinated_density_series(x, spec, t, tol=1e-10):
 
 
 def _left_cutoff(theta, t):
-    # s below which the subordinator saddle exponent exceeds _TAIL_B
+    # s below which the subordinator's left-tail exponent B exceeds _TAIL_B
     coeff = (1.0 - theta) * theta ** (theta / (1.0 - theta))
     return t ** (1.0 / theta) * (coeff / _TAIL_B) ** ((1.0 - theta) / theta)
 

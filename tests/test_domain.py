@@ -1,7 +1,10 @@
 """Non-finite parameters raise DomainError at every entry point, instead
-of returning NaN, a wrong number or running a panel loop to its cap."""
+of returning NaN, a wrong number or running a panel loop to its cap, and
+extreme finite arguments give a value rather than a bare float error."""
 
 import math
+import sys
+import warnings
 
 import pytest
 
@@ -76,3 +79,19 @@ CALLS = {
 def test_non_finite_parameter_is_a_domain_error(name):
     with pytest.raises(DomainError):
         CALLS[name]()
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.7])
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e150, 1e200, 1e300, INF])
+def test_subordinator_pdf_at_extreme_x(x, theta):
+    """A finite value and no warning: 0.0 where h underflows (the far
+    left tail is ~exp(-x^(-theta/(1-theta)))), the power tail
+    theta x^(-1-theta)/Gamma(1-theta) where that is a normal float."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = stable_subordinator_pdf(x, 1.0, theta)
+    log_tail = math.log(theta / math.gamma(1.0 - theta)) - (1.0 + theta) * math.log(x)
+    if x > 1.0 and log_tail > math.log(sys.float_info.min):
+        assert got == pytest.approx(math.exp(log_tail), rel=1e-12)
+    else:
+        assert got == 0.0

@@ -150,6 +150,17 @@ class TestClassify:
         assert rep.stationary_points[0].kind == "maximum"
         assert abs(pdf_derivative(inflect.location, ac, pstar, 1.0)) < 1e-10
 
+    @pytest.mark.parametrize("dp,kind", [(-1e-8, "Unimodal"), (1e-8, "Bimodal")])
+    def test_window_round_the_critical_inflection_is_symmetric(self, dp, kind):
+        """Just off p*, N has a conjugate pair 0.5773503 +- 7.9e-5i on one
+        side and a real pair 1.6e-4 apart on the other; neither lies
+        within the 1e-5 cluster radius, so neither is an inflection."""
+        ac = critical_alpha()
+        pstar, _ = inflection_parameters(ac, +1)
+        rep = classify(ac, pstar + dp, 1.0)
+        assert rep.kind == kind
+        assert all(pt.kind != "inflection" for pt in rep.stationary_points)
+
     def test_below_critical_chosen_point_is_maximum(self):
         p, xstar = inflection_parameters(1.5, +1)
         rep = classify(1.5, p, 1.0)

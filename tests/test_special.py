@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special as sp
+from scipy.stats import levy_stable
 
 from fresnelpseudo import special
 from fresnelpseudo.errors import DomainError, NonConvergent
@@ -277,7 +278,8 @@ class TestStableSubordinator:
     )
     def test_half_theta_levy_closed_form(self, x, t):
         """theta = 1/2 is the Levy density t e^{-t^2/4x} / (2 sqrt(pi) x^{3/2});
-        the small-x cases cross the series/saddle switch."""
+        the small-x cases lie in the far left tail, where Kanter's
+        integrand peaks at phi = 0."""
         want = t * math.exp(-t * t / (4.0 * x)) / (2.0 * math.sqrt(math.pi) * x**1.5)
         assert_allclose(stable_subordinator_pdf(x, t, 0.5), want, rtol=1e-12)
 
@@ -311,6 +313,74 @@ class TestStableSubordinator:
                 x * t ** (-1.0 / theta), 1.0, theta
             )
             assert_allclose(lhs, rhs, rtol=1e-10)
+
+    # the old saddle-branch points, where that branch was 1.4e-3 and 1.5e-3
+    # off, the far left tail at 1.433e-89, and three points whose
+    # integrand peaks inside (0, pi)
+    @pytest.mark.parametrize(
+        "theta,x,rtol",
+        [
+            (0.75, 0.161, 1e-12),
+            (0.9, 0.485, 1e-12),
+            (0.7, 0.0422, 1e-10),
+            (0.3, 1.0, 1e-12),
+            (0.6, 3.0, 1e-12),
+            (0.9, 5.0, 1e-12),
+        ],
+    )
+    def test_matches_mpmath_kanter_quadrature(self, theta, x, rtol):
+        """The same integral in 30-digit Gauss-Legendre panels."""
+        with mp.workdps(30):
+            th = mp.mpf(theta)
+            u = mp.mpf(x) ** (-th / (1 - th))
+
+            def integrand(phi):
+                a = mp.sin(th * phi) ** (th / (1 - th)) * mp.sin((1 - th) * phi)
+                v = u * a / mp.sin(phi) ** (1 / (1 - th))
+                return v * mp.exp(-v)
+
+            val = mp.quad(integrand, mp.linspace(0, mp.pi, 60), method="gauss-legendre")
+            want = float(th / ((1 - th) * mp.pi * mp.mpf(x)) * val)
+        assert_allclose(stable_subordinator_pdf(x, 1.0, theta), want, rtol=rtol)
+
+    @pytest.mark.parametrize("theta", [0.2, 0.45, 0.6, 0.8])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_matches_wright_series(self, theta, t):
+        """h = theta t x^(-theta-1) W(-t x^-theta), wherever the Wright
+        series' cancellation stays inside float64 or modest digits."""
+        for x in [0.3, 1.0, 4.0, 30.0]:
+            z = -t * x**-theta
+            b = (1.0 - theta) * theta ** (theta / (1.0 - theta)) * (-z) ** (1.0 / (1.0 - theta))
+            if b > 20.0:
+                continue
+            want = theta * t / x ** (theta + 1.0) * wright_series(WrightArgs(theta, z), tol=1e-15)
+            assert_allclose(stable_subordinator_pdf(x, t, theta), want, rtol=1e-11)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.75])
+    def test_matches_scipy_levy_stable(self, theta):
+        """scipy's S1 law with beta = 1 and scale (t cos(pi theta/2))^(1/theta)
+        has the Laplace transform exp(-t s^theta)."""
+        for t in [0.5, 1.0, 2.0]:
+            scale = (t * math.cos(math.pi * theta / 2.0)) ** (1.0 / theta)
+            for x in [0.3, 1.0, 4.0, 30.0]:
+                want = levy_stable.pdf(x, theta, 1.0, loc=0.0, scale=scale)
+                if want < 1e-3:
+                    continue  # scipy's own quadrature loses digits in the left tail
+                assert_allclose(stable_subordinator_pdf(x, t, theta), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.7, 0.9])
+    def test_power_tail(self, theta):
+        """Far right: h = (1/pi) sum_k (-1)^(k+1) Gamma(k theta + 1)/k!
+        sin(k pi theta) x^(-k theta - 1), summed to 15 terms; the peak of
+        the integrand lies within 3e-3 (x = 1e8, theta = 0.3) to 3e-19 of
+        phi = pi."""
+        for x in [1e8, 1e20]:
+            want = math.fsum(
+                (-1) ** (k + 1) * math.gamma(k * theta + 1.0) / math.factorial(k)
+                * math.sin(k * math.pi * theta) * x ** (-k * theta - 1.0)
+                for k in range(1, 16)
+            ) / math.pi
+            assert_allclose(stable_subordinator_pdf(x, 1.0, theta), want, rtol=1e-12)
 
 
 def _full_cap_scan(logmag, cutoff_log):

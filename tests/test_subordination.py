@@ -286,6 +286,26 @@ class TestQuadrature:
                 subordinated_density_series(x, spec_h, 1.0), abs=1e-9
             )
 
+    @pytest.mark.parametrize("x", [6.3e-4, 1e-3, 1.5e-3])
+    def test_tiny_x_matches_transform_inversion(self, x):
+        """Near the origin at p != 1/2 the direct integral agrees with a
+        plain quadrature of (1/pi) int_0^inf Re(e^{-igx} w_hat(g)) dg, whose
+        integrand barely oscillates at such x (Fourier-weighted QAWF
+        quadrature breaks down there, which is why it is not used)."""
+        spec = SubordinationSpec(3.0, 0.5, 0.3)
+        val, err = integrate.quad(
+            lambda g: (np.exp(-1j * g * x) * subordinated_char_fn(g, spec, 1.0)).real,
+            0.0,
+            np.inf,
+            epsabs=1e-14,
+            epsrel=1e-13,
+            limit=400,
+        )
+        assert err < 1e-11
+        assert subordinated_density_quadrature(x, spec, 1.0) == pytest.approx(
+            val / math.pi, abs=1e-9
+        )
+
     def test_rejects_bad_t(self):
         with pytest.raises(DomainError):
             subordinated_density_quadrature(1.0, SubordinationSpec(3.0, 0.5, 0.5), 0.0)
