@@ -155,8 +155,11 @@ def _weibull_expectation(x, shape, t, p, alpha, tol):
 
     The integrand peaks near e^M, M = max_g (b_c |x| g - t g^shape) =
     (1 - 1/shape) b_c |x| g* at g* = (b_c |x| / (t shape))^(1/(shape-1)),
-    for an O(1) result; raises NonConvergent when e^M * 1e-16 > tol.
+    for an O(1) result; raises NonConvergent when e^M * 1e-16 > tol, and
+    DomainError at a non-finite x.
     """
+    if not math.isfinite(x):
+        raise DomainError(f"Weibull expectation at non-finite x={x}")
     osc = OscillationConstants.for_order(alpha)
     a_c, b_c = osc.a_alpha, osc.b_alpha
     bx = b_c * abs(x)

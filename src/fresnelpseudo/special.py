@@ -12,14 +12,19 @@ cross-validation of this package.
 
 Numerical notes
 ---------------
-* Every series here (Airy, Wright, and the subordinated density) goes
-  through one engine, _certified_sum, and supplies only its term
-  log-magnitudes, float64 terms and mpmath term.  The series are
-  entire but alternate with huge terms once |x| grows (at a = 1.5,
-  x = 4 the largest Airy term is ~1e8 while the sum is O(1)), so the
-  float64 fsum is accepted only when the largest term's rounding stays
-  below the tolerance; otherwise the sum is redone in mpmath at digits
-  sized from that term.  That rounding is taken as
+* The three series here are one Wright-type family (Gorenflo, Luchko &
+  Mainardi, Fract. Calc. Appl. Anal. 2, 1999),
+      pref * sum_n z**n Gamma(a (n+1)) / n! * sin(pi omega (n+1)),
+  summed by one engine, _certified_sum, to which each series supplies
+  only (z, a, omega): Airy (x alpha**(1/alpha), 1/alpha,
+  (alpha+1)/(2 alpha)), Wright W_{-theta,1-theta} (z, theta, theta),
+  and the p = 1/2 subordinated density (|x| t**(-1/nu), 1/nu,
+  (alpha+1)/(2 alpha)) over even n only.  The series are entire but
+  alternate with huge terms once |z| grows (at a = 1.5, x = 4 the
+  largest Airy term is ~1e8 while the sum is O(1)), so the float64
+  fsum is accepted only when the largest term's rounding stays below
+  the tolerance; otherwise the sum is redone in mpmath at digits sized
+  from that term.  That rounding is taken as
   max(5e-14, 8 ulp * lgamma(k + 2)) relative at the peak index k: a
   term rebuilt from its log-magnitude inherits a few ulps of the log,
   so a flat bound would understate it near order 1, where the peak
@@ -30,8 +35,8 @@ Numerical notes
   k < n, n = 64, 512, 4096, then the cap of 10001 indices, and stops at
   the first prefix that holds an index past its peak whose value is
   below the cutoff.  The result is exact, not a heuristic: each
-  log-magnitude is linear in k plus gammaln(c (k+1)) - gammaln(k+1) (or
-  the 2k+1 analogue) with c < 1, which is strictly concave because
+  log-magnitude (_term_logs) is linear in k plus gammaln(c (k+1)) -
+  gammaln(k+1) (or the 2k+1 analogue) with c < 1, strictly concave as
   c**2 psi'(c w) = sum_n 1/(w + n/c)**2 < psi'(w).  Past the peak the
   sequence keeps falling, so the prefix's peak and first-below index
   are those of a scan out to the cap, and the elementwise ufuncs give
@@ -45,7 +50,8 @@ Numerical notes
   the same cancellation, an integrand peaking near e^M for an O(1)
   result; they raise NonConvergent once e^M * 1e-16 > tol.
 * errors.check_params does every range check and rejects NaN and +-inf,
-  so a non-finite parameter raises DomainError rather than give NaN.
+  so a non-finite parameter raises DomainError rather than give NaN, as
+  does a non-finite series or Weibull-expectation argument.
 * Outside the series range the kernel and its tail integral come from
   _quad.chirp_integral, one contour rule batched over points: the
   defining integral is taken along a path on which |e^{i phi}| falls
@@ -159,12 +165,6 @@ def _scan_peak(logmag, cutoff_log):
     return None
 
 
-def _scan_terms(logmag, cutoff_log):
-    """(K, peak_log) of _scan_peak, or None."""
-    found = _scan_peak(logmag, cutoff_log)
-    return found and (found[0], found[2])
-
-
 def _f64_relerr(peak):
     """Relative float64 rounding assumed for the terms around index peak;
     a float64 pass is accepted when the peak term times this stays below
@@ -194,44 +194,68 @@ def _rebuild_overflowed(terms, small, logmag, signed_unit):
     return terms
 
 
-def _airy_term_logs(k, x, alpha):
-    return (
-        k * math.log(abs(x))
-        + k * (math.log(alpha) / alpha)
-        + sp.gammaln((k + 1.0) / alpha)
-        - sp.gammaln(k + 1.0)
-    )
+def _term_logs(k, z, a, even=False):
+    """log|z**n Gamma(a (n+1)) / n!|, n = k (2k when even), which bounds
+    log|term_k| as |sine| <= 1; log Gamma(a) at k = 0, even at z = 0."""
+    n = 2.0 * k if even else k
+    return sp.xlogy(n, abs(z)) + sp.gammaln(a * (n + 1.0)) - sp.gammaln(n + 1.0)
 
 
-def _certified_sum(logmag, cutoff_log, log_pref, tol, f64_terms, mp_terms, what):
-    """Sum of a series (to be scaled by exp(log_pref)), certified to tol.
+def _certified_sum(params, pref, tol, what, even=False):
+    """pref * sum_n z**n Gamma(a (n+1)) / n! * sin(pi omega (n+1)) over
+    n = 0, 1, 2, ... (n = 0, 2, 4, ... when even), certified to tol.
 
-    Truncates by _scan_peak(logmag, cutoff_log).  If the peak term's
-    float64 rounding (_f64_relerr) times the prefactor stays below
-    tol/2, sums f64_terms(k) -> (terms, small, signed_unit) on
-    k = 0..K with math.fsum after _rebuild_overflowed; else sums the
-    terms k = 0..K that the generator mp_terms(K) yields (it converts
-    its float arguments to mpf once per sum, not per term) in mpmath at
-    digits sized from the peak-to-tol ratio.  Raises NonConvergent,
-    naming the series by what() (formatted only then), at the term cap
-    or past _MP_DPS_CAP.
+    params(m) gives (z, a, omega) from the caller's inputs converted by
+    m: float for the float64 pass, mp.mpf for the mpmath pass, which so
+    sees them exactly.  Truncates by _scan_peak on _term_logs, its index
+    k standing for n = k or 2k.  Sums in float64 (math.fsum after
+    _rebuild_overflowed) when the peak term's rounding (_f64_relerr)
+    times pref stays below tol/2, else in mpmath at digits sized from
+    the peak-to-tol ratio.  Raises DomainError at a non-finite z or
+    tol, and NonConvergent, naming the series by what() (formatted only then),
+    at the term cap or past _MP_DPS_CAP.
     """
-    found = _scan_peak(logmag, cutoff_log)
+    check_params(tol=tol)
+    z, a, omega = params(float)
+    if not math.isfinite(z):
+        raise DomainError(f"{what()}: series argument {z} is not finite")
+    if z == 0.0:
+        return pref * math.gamma(a) * math.sin(math.pi * omega)
+    logmag = lambda k: _term_logs(k, z, a, even)
+    found = _scan_peak(logmag, math.log(tol / pref) + math.log(1e-3))
     if found is None:
         raise NonConvergent(f"{what()}: terms fail to decay within {_SERIES_CAP} terms")
     K, peak, peak_log = found
-    if log_pref + peak_log + math.log(_f64_relerr(peak)) <= math.log(tol / 2.0):
+    step = 2 if even else 1
+    if math.log(pref) + peak_log + math.log(_f64_relerr(peak)) <= math.log(tol / 2.0):
+        n = np.arange(0.0, step * K + 1.0, step)
+        # z**n / n! as a running product
+        small = np.cumprod(np.concatenate(([1.0], z / np.arange(1.0, step * K + 1.0))))[::step]
+        sines = np.sin(np.pi * omega * (n + 1.0))
         with np.errstate(over="ignore", invalid="ignore"):
-            terms, small, signed_unit = f64_terms(np.arange(K + 1, dtype=float))
-        return math.fsum(_rebuild_overflowed(terms, small, logmag, signed_unit).tolist())
+            terms = sp.gamma(a * (n + 1.0)) * small * sines
+        signed_unit = sines * np.sign(z) ** n
+        return pref * math.fsum(_rebuild_overflowed(terms, small, logmag, signed_unit).tolist())
     dps = 15 + max(0, int(math.ceil((peak_log - math.log(tol)) / math.log(10.0))))
     if dps > _MP_DPS_CAP:
         raise NonConvergent(f"{what()}: cancellation needs ~{dps} digits (cap {_MP_DPS_CAP})")
     with mp.workdps(dps):
-        total = mp.mpf(0)
-        for term in mp_terms(K):
-            total += term
-        return float(total)
+        z, a, omega = params(mp.mpf)
+        total = mp.fsum(
+            z**n * mp.gamma(a * (n + 1)) * mp.sin(mp.pi * omega * (n + 1)) / mp.factorial(n)
+            for n in range(0, step * K + 1, step)
+        )
+        return pref * float(total)
+
+
+def _airy_params(x, alpha):
+    """_certified_sum's params of Ai_a(x) (see the module notes)."""
+
+    def params(m):
+        xm, am = m(x), m(alpha)
+        return xm * am ** (1 / am), 1 / am, (am + 1) / (2 * am)
+
+    return params
 
 
 def airy_series(x, order, tol=1e-10):
@@ -246,38 +270,12 @@ def airy_series(x, order, tol=1e-10):
         NonConvergent: term magnitudes fail to decay within the
             iteration cap, or the cancellation exceeds the supported
             working precision (use airy_quadrature there).
-        DomainError: alpha <= 1 or tol <= 0.
+        DomainError: alpha <= 1, tol <= 0 or a non-finite x.
     """
     order = order if isinstance(order, AiryOrder) else AiryOrder(float(order))
-    alpha = order.alpha
-    check_params(tol=tol)
-    x = float(x)
-    pref = _airy_prefactor(alpha)
-    if x == 0.0:
-        return pref * math.gamma(1.0 / alpha) * math.sin(
-            math.pi * (alpha + 1.0) / (2.0 * alpha)
-        )
-
-    def f64_terms(k):
-        # exactly-representable pieces: cumprod for x**k/k!, vectorized gamma
-        xk_over_fact = np.cumprod(np.concatenate(([1.0], x / k[1:])))
-        apow = np.exp(k * (math.log(alpha) / alpha))
-        sines = np.sin(np.pi * (k + 1.0) * (alpha + 1.0) / (2.0 * alpha))
-        terms = sp.gamma((k + 1.0) / alpha) * xk_over_fact * apow * sines
-        return terms, xk_over_fact, sines * np.sign(x) ** k
-
-    def mp_terms(K):
-        xm, am = mp.mpf(x), mp.mpf(alpha)
-        for k in range(K + 1):
-            sine = mp.sin(mp.pi * (k + 1) * (am + 1) / (2 * am))
-            yield xm**k * am ** (k / am) * mp.gamma((k + 1) / am) * sine / mp.factorial(k)
-
-    # truncate when |term| (times prefactor) is far below tol; the sine
-    # factor is bounded by 1, so the log-magnitudes are conservative
-    logmag = lambda k: _airy_term_logs(k, x, alpha)
-    cutoff = math.log(tol / pref) + math.log(1e-3)
+    alpha, x = order.alpha, float(x)
     what = lambda: f"airy series at x={x}, alpha={alpha}"
-    return pref * _certified_sum(logmag, cutoff, math.log(pref), tol, f64_terms, mp_terms, what)
+    return _certified_sum(_airy_params(x, alpha), _airy_prefactor(alpha), tol, what)
 
 
 def series_float64_range(alpha, tol=1e-10):
@@ -291,13 +289,10 @@ def series_float64_range(alpha, tol=1e-10):
     gate = math.log((tol / 2.0) / _airy_prefactor(alpha))
 
     def rounding_log(x):
-        # log of the peak term's rounding; the peak is final once the
-        # prefix falls at its end
-        for vals in _term_prefixes(lambda k: _airy_term_logs(k, x, alpha)):
-            if vals[-1] < np.max(vals):
-                break
-        peak = int(np.argmax(vals))
-        return float(vals[peak]) + math.log(_f64_relerr(peak))
+        # log of the peak term's rounding
+        z, a, _ = _airy_params(x, alpha)(float)
+        found = _scan_peak(lambda k: _term_logs(k, z, a), math.inf)
+        return math.inf if found is None else found[2] + math.log(_f64_relerr(found[1]))
 
     lo, hi = 0.5, 1.0
     while rounding_log(hi) < gate and hi < 1e3:
@@ -366,16 +361,14 @@ def airy_grid(xs, alpha, tol=1e-10):
 def _airy_grid_series(xs, alpha):
     # shared truncation for the whole batch, sized at the largest |x|
     xa = float(np.max(np.abs(xs))) if xs.size else 1.0
-    pref = _airy_prefactor(alpha)
-    found = _scan_terms(lambda k: _airy_term_logs(k, max(xa, 1e-12), alpha), math.log(1e-16))
+    z, a, omega = _airy_params(1.0, alpha)(float)
+    found = _scan_peak(lambda k: _term_logs(k, xa * z, a), math.log(1e-16))
     if found is None:
         raise NonConvergent(f"airy grid series terms fail to decay within {_SERIES_CAP} terms")
     k = np.arange(found[0] + 1, dtype=float)
-    coef = np.exp(_airy_term_logs(k, 1.0, alpha)) * np.sin(
-        np.pi * (k + 1.0) * (alpha + 1.0) / (2.0 * alpha)
-    )
+    coef = np.exp(_term_logs(k, z, a)) * np.sin(np.pi * omega * (k + 1.0))
     powers = np.power.outer(xs, k)  # (n, K+1)
-    return pref * (powers @ coef)
+    return _airy_prefactor(alpha) * (powers @ coef)
 
 
 def airy_cdf_tail(c, alpha, tol=1e-10):
@@ -412,13 +405,6 @@ def weibull_pdf(y, params):
 # ---------------------------------------------------------------------------
 
 
-def _wright_term_logs(k, absz, theta):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logz = k * (math.log(absz) if absz > 0 else -math.inf)
-        logz[k == 0] = 0.0
-    return logz + sp.gammaln(theta * (k + 1.0)) - sp.gammaln(k + 1.0) - math.log(math.pi)
-
-
 def wright_series(args, tol=1e-12):
     """Wright function W_{-theta,1-theta}(z) for z <= 0, theta in (0,1).
 
@@ -431,27 +417,9 @@ def wright_series(args, tol=1e-12):
     alternating cancellation exceeds the supported working precision.
     """
     args = args if isinstance(args, WrightArgs) else WrightArgs(*args)
-    check_params(tol=tol)
     theta, z = args.theta, args.z
-    if z == 0.0:
-        return math.sin(math.pi * theta) * math.gamma(theta) / math.pi
-
-    def f64_terms(k):
-        sines = np.sin(np.pi * theta * (k + 1.0))
-        zk_over_fact = np.cumprod(np.concatenate(([1.0], z / k[1:])))
-        terms = sp.gamma(theta * (k + 1.0)) * sines * zk_over_fact / math.pi
-        return terms, zk_over_fact, sines * (-1.0) ** k
-
-    def mp_terms(K):
-        zm, tm = mp.mpf(z), mp.mpf(theta)
-        for k in range(K + 1):
-            sine = mp.sin(mp.pi * tm * (k + 1))
-            yield zm**k * sine * mp.gamma(tm * (k + 1)) / (mp.pi * mp.factorial(k))
-
-    logmag = lambda k: _wright_term_logs(k, abs(z), theta)
-    cutoff = math.log(tol) - 3.0 * math.log(10.0)
     what = lambda: f"wright series at z={z}, theta={theta}"
-    return _certified_sum(logmag, cutoff, 0.0, tol, f64_terms, mp_terms, what)
+    return _certified_sum(lambda m: (m(z), m(theta), m(theta)), 1.0 / math.pi, tol, what)
 
 
 # Kanter's integral runs on the step-1/48 tanh-sinh rule, t in [-3.15, 3.15]

@@ -29,9 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
-from scipy import integrate, special as sp
+from scipy import integrate
 
 from .density import PseudoParams, _weibull_expectation, density
 from .errors import DomainError, InvalidRegime, QuadratureFailure, check_params
@@ -135,14 +134,6 @@ def subordinated_char_fn(gamma, spec, t):
     return complex(out[0]) if scalar else out
 
 
-def _sub_term_logs(k, z2, nu):
-    """Log-magnitudes of the even-power series terms."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logz = k * (math.log(z2) if z2 > 0.0 else -math.inf)
-        logz[k == 0] = 0.0
-    return logz + sp.gammaln((2.0 * k + 1.0) / nu) - sp.gammaln(2.0 * k + 1.0)
-
-
 def subordinated_density_series(x, spec, t, tol=1e-10):
     """Power-series density of the subordinated process.
 
@@ -154,29 +145,16 @@ def subordinated_density_series(x, spec, t, tol=1e-10):
         raise DomainError(f"series requires alpha*theta > 1, got {nu}")
     if spec.p != 0.5:
         raise DomainError("series form exists only at p = 1/2")
-    check_params(t=t, tol=tol)
-    z = abs(float(x)) / t ** (1.0 / nu)
+    check_params(t=t)
+    x, alpha = float(x), spec.alpha
+
+    def params(m):
+        num, am = m(nu), m(alpha)
+        return abs(m(x)) / m(t) ** (1 / num), 1 / num, (am + 1) / (2 * am)
+
     pref = 1.0 / (nu * math.pi * t ** (1.0 / nu))
-    sine_arg = math.pi * (spec.alpha + 1.0) / (2.0 * spec.alpha)
-    if z == 0.0:
-        return pref * math.gamma(1.0 / nu) * math.sin(sine_arg)
-    alpha = spec.alpha
-
-    def f64_terms(k):
-        z2k_fact = np.cumprod(np.concatenate(([1.0], z * z / ((2.0 * k[1:] - 1.0) * 2.0 * k[1:]))))
-        sines = np.sin(math.pi * (2.0 * k + 1.0) * (alpha + 1.0) / (2.0 * alpha))
-        return sp.gamma((2.0 * k + 1.0) / nu) * z2k_fact * sines, z2k_fact, sines
-
-    def mp_terms(K):
-        zm, am = mp.mpf(z), mp.mpf(alpha)
-        for k in range(K + 1):
-            sine = mp.sin(mp.pi * (2 * k + 1) * (am + 1) / (2 * am))
-            yield zm ** (2 * k) * mp.gamma(mp.mpf(2 * k + 1) / nu) * sine / mp.factorial(2 * k)
-
-    logmag = lambda k: _sub_term_logs(k, z * z, nu)
-    cutoff = math.log(tol / pref) + math.log(1e-3)
     what = lambda: f"subordinated series at x={x}"
-    return pref * _certified_sum(logmag, cutoff, math.log(pref), tol, f64_terms, mp_terms, what)
+    return _certified_sum(params, pref, tol, what, even=True)
 
 
 def _left_cutoff(theta, t):

@@ -8,7 +8,12 @@ import warnings
 
 import pytest
 
-from fresnelpseudo.density import OscillationConstants, PseudoParams
+from fresnelpseudo.density import (
+    OscillationConstants,
+    PseudoParams,
+    density,
+    weibull_representation,
+)
 from fresnelpseudo.errors import DomainError
 from fresnelpseudo.measure import CylinderEvent, box_kernel_integral, cylinder_measure, line_total
 from fresnelpseudo.mixture import classify, mode_analysis
@@ -36,6 +41,7 @@ INF, NAN = math.inf, math.nan
 SPEC = SubordinationSpec(3.0, 0.5, 0.5)
 STABLE = StableParams(nu=1.5, sigma=1.0, beta=0.0, mu=0.0)
 STREAM = SeededStream(1)
+PARAMS = PseudoParams(3.0, 0.5, 1.0)
 
 CALLS = {
     "stable_subordinator_pdf t=inf": lambda: stable_subordinator_pdf(1.0, INF, 0.5),
@@ -72,6 +78,18 @@ CALLS = {
     "SubordinationSpec theta=nan": lambda: SubordinationSpec(3.0, NAN, 0.5),
     "classify t=inf": lambda: classify(2.0, 0.5, INF),
     "mode_analysis alpha=nan": lambda: mode_analysis(NAN, 1.0),
+    "subordinated_density_series x=nan": lambda: subordinated_density_series(NAN, SPEC, 1.0),
+    "subordinated_density_series x=inf": lambda: subordinated_density_series(INF, SPEC, 1.0),
+    "airy_series x=nan": lambda: airy_series(NAN, AiryOrder(3.0)),
+    "airy_series x=inf": lambda: airy_series(INF, AiryOrder(3.0)),
+    "airy_series x=-inf": lambda: airy_series(-INF, AiryOrder(3.0)),
+    "density series x=nan": lambda: density(NAN, PARAMS, method="series"),
+    "weibull_representation x=nan": lambda: weibull_representation(NAN, PARAMS),
+    "weibull_representation x=inf": lambda: weibull_representation(INF, PARAMS),
+    "weibull_representation x=-inf": lambda: weibull_representation(-INF, PARAMS),
+    "subordinated_weibull_repr x=nan": lambda: subordinated_weibull_repr(NAN, SPEC, 1.0),
+    "subordinated_weibull_repr x=inf": lambda: subordinated_weibull_repr(INF, SPEC, 1.0),
+    "subordinated_weibull_repr x=-inf": lambda: subordinated_weibull_repr(-INF, SPEC, 1.0),
 }
 
 

@@ -12,9 +12,8 @@ from fresnelpseudo import special
 from fresnelpseudo.errors import DomainError, NonConvergent
 from fresnelpseudo.special import (
     _SERIES_CAP,
-    _airy_term_logs,
-    _scan_terms,
-    _wright_term_logs,
+    _scan_peak,
+    _term_logs,
     AiryOrder,
     WeibullParams,
     WrightArgs,
@@ -385,13 +384,13 @@ class TestStableSubordinator:
 
 def _full_cap_scan(logmag, cutoff_log):
     """Reference truncation scan over every index up to the cap, which
-    the lazily grown _scan_terms must reproduce exactly."""
+    the lazily grown _scan_peak must reproduce exactly."""
     vals = logmag(np.arange(_SERIES_CAP + 1, dtype=float))
     peak = int(np.argmax(vals))
     below = np.nonzero((np.arange(vals.size) > peak) & (vals < cutoff_log))[0]
     if below.size == 0:
         return None
-    return int(below[0]), float(vals[peak])
+    return int(below[0]), peak, float(vals[peak])
 
 
 SCAN_SETTINGS = settings(derandomize=True, max_examples=120, deadline=None)
@@ -408,27 +407,26 @@ class TestTermScan:
     @example(alpha=1.05, x=60.0, cutoff=-30.0)  # peak beyond the cap
     @example(alpha=2.5, x=-4.0, cutoff=math.log(1e-16))
     def test_airy_matches_full_scan(self, alpha, x, cutoff):
-        logmag = lambda k: _airy_term_logs(k, x, alpha)
-        assert _scan_terms(logmag, cutoff) == _full_cap_scan(logmag, cutoff)
+        logmag = lambda k: _term_logs(k, x * alpha ** (1.0 / alpha), 1.0 / alpha)
+        assert _scan_peak(logmag, cutoff) == _full_cap_scan(logmag, cutoff)
 
     @SCAN_SETTINGS
     @given(theta=st.floats(0.01, 0.999), absz=st.floats(1e-8, 1e4), cutoff=CUTOFFS)
     @example(theta=0.5, absz=1e6, cutoff=-34.5)  # never decays within the cap
     def test_wright_matches_full_scan(self, theta, absz, cutoff):
-        logmag = lambda k: _wright_term_logs(k, absz, theta)
-        assert _scan_terms(logmag, cutoff) == _full_cap_scan(logmag, cutoff)
+        logmag = lambda k: _term_logs(k, absz, theta)
+        assert _scan_peak(logmag, cutoff) == _full_cap_scan(logmag, cutoff)
 
     @SCAN_SETTINGS
     @given(nu=st.floats(1.01, 2.0), z2=st.floats(0.0, 1e5), cutoff=CUTOFFS)
     @example(nu=1.01, z2=1e5, cutoff=-30.0)
     def test_subordinated_matches_full_scan(self, nu, z2, cutoff):
-        from fresnelpseudo.subordination import _sub_term_logs
-
-        logmag = lambda k: _sub_term_logs(k, z2, nu)
-        assert _scan_terms(logmag, cutoff) == _full_cap_scan(logmag, cutoff)
+        logmag = lambda k: _term_logs(k, math.sqrt(z2), 1.0 / nu, even=True)
+        assert _scan_peak(logmag, cutoff) == _full_cap_scan(logmag, cutoff)
 
     def test_cap_reached_returns_none(self):
-        assert _scan_terms(lambda k: _airy_term_logs(k, 60.0, 1.05), -30.0) is None
+        logmag = lambda k: _term_logs(k, 60.0 * 1.05 ** (1.0 / 1.05), 1.0 / 1.05)
+        assert _scan_peak(logmag, -30.0) is None
         with pytest.raises(NonConvergent):
             airy_series(60.0, AiryOrder(1.05))
 
