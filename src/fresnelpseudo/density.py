@@ -155,11 +155,9 @@ def _weibull_expectation(x, shape, t, p, alpha, tol):
 
     The integrand peaks near e^M, M = max_g (b_c |x| g - t g^shape) =
     (1 - 1/shape) b_c |x| g* at g* = (b_c |x| / (t shape))^(1/(shape-1)),
-    for an O(1) result; raises NonConvergent when e^M * 1e-16 > tol, and
-    DomainError at a non-finite x.
+    for an O(1) result; raises NonConvergent when e^M * 1e-16 > tol.  The
+    callers check that x is finite.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"Weibull expectation at non-finite x={x}")
     osc = OscillationConstants.for_order(alpha)
     a_c, b_c = osc.a_alpha, osc.b_alpha
     bx = b_c * abs(x)
@@ -209,15 +207,15 @@ def weibull_representation(x, params, mode="quadrature", n=200_000, seed=0, tol=
     density (see _weibull_expectation); mode="monte_carlo" averages n
     exact inverse-transform draws (seeded, reproducible).
 
-    Raises DomainError at x = 0 (the identity divides by x), and
-    NonConvergent in quadrature mode where the integrand's growth
-    e^{b_c |x| g} outweighs the tolerance.
+    Raises DomainError at x = 0 (the identity divides by x) or a
+    non-finite x, and NonConvergent in quadrature mode where the
+    integrand's growth e^{b_c |x| g} outweighs the tolerance.
     """
-    if x == 0.0:
-        raise DomainError("the expectation identity is undefined at x = 0")
+    x = float(x)
+    if not (math.isfinite(x) and x != 0.0):
+        raise DomainError(f"the expectation identity needs a finite x != 0, got {x}")
     if mode not in ("quadrature", "monte_carlo"):
         raise ValueError(f"mode must be quadrature or monte_carlo, got {mode!r}")
-    x = float(x)
     p, t, alpha = params.p, params.t, params.alpha
     if mode == "quadrature":
         return _weibull_expectation(x, alpha, t, p, alpha, tol)

@@ -210,15 +210,16 @@ def subordinated_weibull_repr(x, spec, t, tol=1e-10):
     identity fail, which the tests check as a negative control.
 
     Requires nu > 1 (the expectation diverges otherwise), p = 1/2, and
-    x != 0; raises NonConvergent where the integrand's growth outweighs
-    the tolerance (see density._weibull_expectation).
+    a finite x != 0; raises NonConvergent where the integrand's growth
+    outweighs the tolerance (see density._weibull_expectation).
     """
-    if x == 0.0:
-        raise DomainError("the expectation identity is undefined at x = 0")
+    x = float(x)
+    if not (math.isfinite(x) and x != 0.0):
+        raise DomainError(f"the expectation identity needs a finite x != 0, got {x}")
     if spec.p != 0.5:
         raise DomainError("expectation form exists only at p = 1/2")
     nu = spec.nu
     if nu <= 1.0:
         raise DomainError(f"expectation form requires alpha*theta > 1, got {nu}")
     check_params(t=t, tol=tol)
-    return _weibull_expectation(float(x), nu, t, 0.5, spec.alpha, tol)
+    return _weibull_expectation(x, nu, t, 0.5, spec.alpha, tol)

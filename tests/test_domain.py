@@ -87,6 +87,15 @@ CALLS = {
     "weibull_representation x=nan": lambda: weibull_representation(NAN, PARAMS),
     "weibull_representation x=inf": lambda: weibull_representation(INF, PARAMS),
     "weibull_representation x=-inf": lambda: weibull_representation(-INF, PARAMS),
+    "weibull_representation monte_carlo x=nan": lambda: weibull_representation(
+        NAN, PARAMS, mode="monte_carlo", n=100
+    ),
+    "weibull_representation monte_carlo x=inf": lambda: weibull_representation(
+        INF, PARAMS, mode="monte_carlo", n=100
+    ),
+    "weibull_representation monte_carlo x=-inf": lambda: weibull_representation(
+        -INF, PARAMS, mode="monte_carlo", n=100
+    ),
     "subordinated_weibull_repr x=nan": lambda: subordinated_weibull_repr(NAN, SPEC, 1.0),
     "subordinated_weibull_repr x=inf": lambda: subordinated_weibull_repr(INF, SPEC, 1.0),
     "subordinated_weibull_repr x=-inf": lambda: subordinated_weibull_repr(-INF, SPEC, 1.0),

@@ -169,6 +169,52 @@ class TestAiryHelpers:
         )
 
 
+class TestAiryGridSeries:
+    """airy_grid's float64 series: powers as running products in blocks of
+    points, one coefficient table per (alpha, tol)."""
+
+    @staticmethod
+    def _assert_matches_one_point_calls(xs, alpha, tol=1e-10):
+        got = airy_grid(xs, alpha, tol)
+        assert got.shape == np.shape(xs)
+        want = np.array([airy_grid(x, alpha, tol) for x in np.ravel(xs)]).reshape(np.shape(xs))
+        # A batch and a one-point call sum the same terms in another BLAS
+        # order; near the range edge the terms reach ~1e3, so allow a few
+        # ulps of their absolute sum on top of 1e-14.
+        r, coef = special._grid_series_cached(alpha, tol)
+        x = np.minimum(np.abs(np.ravel(xs)), r)
+        scale = (x[:, None] ** np.arange(coef.size) @ np.abs(coef)).reshape(np.shape(xs))
+        assert np.all(np.abs(got - want) <= 1e-14 + 16 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2500])
+    def test_block_boundaries_match_one_point_calls(self, n, monkeypatch):
+        alpha = 3.0
+        r, coef = special._grid_series_cached(alpha, 1e-10)
+        monkeypatch.setattr(special, "_GRID_TABLE_ENTRIES", 1024 * coef.size)  # 1024-row blocks
+        self._assert_matches_one_point_calls(np.linspace(-r, r, n), alpha)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 3.0])
+    def test_shapes_match_one_point_calls(self, alpha):
+        r = series_float64_range(alpha)
+        rng = np.random.default_rng(7)
+        self._assert_matches_one_point_calls(rng.uniform(-r, r, (40, 60)), alpha)
+        self._assert_matches_one_point_calls(np.linspace(-1.3, 1.3, 27) * r, alpha)  # straddles +-R
+        self._assert_matches_one_point_calls(np.float64(0.5 * r), alpha)
+
+    @pytest.mark.parametrize(
+        "alpha, tol",
+        [(a, 1e-10) for a in (1.05, 1.2, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)] + [(2.0, 1e-6), (1.5, 1e-12)],
+    )
+    def test_within_tol_at_edge_of_float64_range(self, alpha, tol):
+        """At the range edge the peak term is largest; the running-product
+        powers must keep the grid series within tol of an extended-precision
+        series value there."""
+        r = series_float64_range(alpha, tol)
+        xs = np.concatenate([-np.linspace(0.95 * r, r, 6), np.linspace(0.95 * r, r, 6)])
+        ref = np.array([airy_series(float(x), AiryOrder(alpha), tol * 1e-3) for x in xs])
+        assert np.max(np.abs(airy_grid(xs, alpha, tol) - ref)) < tol
+
+
 class TestWeibull:
     def test_validation(self):
         with pytest.raises(DomainError):
